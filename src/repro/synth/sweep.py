@@ -78,27 +78,14 @@ def _live_latches(aig: AIG, stuck: dict[int, int]) -> set[int]:
     """Latch nodes observable from the POs (through latch-next edges).
 
     Stuck latches never count as live users: their next-state cone is
-    about to disappear with them.
+    about to disappear with them.  One walk from the POs reaches every
+    live latch; each live, non-stuck latch extends it with its
+    next-state cone, so every node is visited at most once.
     """
-    po_cone = _source_latches(aig, [lit for _, lit in aig.pos])
-    live = set(po_cone)
-    changed = True
-    while changed:
-        changed = False
-        for latch in aig.latches:
-            if latch.node not in live or latch.node in stuck:
-                continue
-            for source in _source_latches(aig, [latch.next_lit]):
-                if source not in live:
-                    live.add(source)
-                    changed = True
-    return live
-
-
-def _source_latches(aig: AIG, roots: list[int]) -> set[int]:
-    sources: set[int] = set()
+    next_lits = {latch.node: latch.next_lit for latch in aig.latches}
+    live: set[int] = set()
     seen: set[int] = set()
-    stack = [lit_node(lit) for lit in roots]
+    stack = [lit_node(lit) for _, lit in aig.pos]
     while stack:
         node = stack.pop()
         if node in seen or node == 0:
@@ -109,5 +96,7 @@ def _source_latches(aig: AIG, roots: list[int]) -> set[int]:
             stack.append(lit_node(f0))
             stack.append(lit_node(f1))
         elif aig.is_latch_output(node):
-            sources.add(node)
-    return sources
+            live.add(node)
+            if node not in stuck:
+                stack.append(lit_node(next_lits[node]))
+    return live

@@ -11,12 +11,23 @@ by the AIG rewriting pass to re-express small logic cones.
 The recursion is the classic one: split on a variable, compute the
 cubes needed exclusively in each half, then cover what remains with
 cubes that do not mention the split variable at all.
+
+The cover is a pure function of ``(on, dc, num_vars)``, and the
+rewriting passes ask for the same few hundred covers hundreds of
+thousands of times, so :func:`isop` memoizes it process-wide.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.tables.bits import all_ones, cofactor0, cofactor1, var_mask
 from repro.tables.cube import Cube
+
+#: Bound on memoized covers: about four times the most distinct covers
+#: a benchmark workload asks for (763 in a Fig. 9 run, 2,058 in the
+#: paper-scale technology sweep), so none of them evicts.
+MEMO_SIZE = 8192
 
 
 def isop(on: int, dc: int, num_vars: int) -> list[Cube]:
@@ -38,8 +49,15 @@ def isop(on: int, dc: int, num_vars: int) -> list[Cube]:
         raise ValueError("truth table wider than the variable universe")
     if on & dc:
         raise ValueError("ON-set and DC-set overlap")
+    # A fresh list per call: callers may edit it, never the memo.
+    # Cubes are frozen, so sharing them is safe.
+    return list(_cover(on, dc, num_vars))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _cover(on: int, dc: int, num_vars: int) -> tuple[Cube, ...]:
     cubes, _ = _isop(on, on | dc, num_vars, num_vars)
-    return cubes
+    return tuple(cubes)
 
 
 def _isop(lower: int, upper: int, top: int, num_vars: int) -> tuple[list[Cube], int]:

@@ -126,7 +126,6 @@ def test_model_satisfies_clauses():
         for clause in clauses:
             solver.add_clause(clause)
         if solver.solve():
-            model = solver.model
             assert all(
                 any(solver.model_value(lit) for lit in clause) for clause in clauses
             )
@@ -170,3 +169,92 @@ def test_agrees_with_bruteforce_under_assumptions():
         # Repeat the query to check reusability/incremental soundness.
         assert solver.solve(assumptions=assumptions) == expected
         assert solver.solve() == brute_force_sat(num_vars, clauses)
+
+
+class ScanSolver(Solver):
+    """The reference for the order heap and the unit-clause list: a
+    linear scan over ``1..num_vars`` for the unassigned variable of
+    highest activity (ties to the lowest index), and every clause
+    re-scanned for units on each call."""
+
+    def solve(self, assumptions=None):
+        self._units = [
+            index for index, clause in enumerate(self._clauses)
+            if len(clause) == 1
+        ]
+        return super().solve(assumptions)
+
+    def _pick_branch(self):
+        best_var = None
+        best_activity = -1.0
+        for var in range(1, self._num_vars + 1):
+            if var not in self._assign:
+                activity = self._activity.get(var, 0.0)
+                if activity > best_activity:
+                    best_activity = activity
+                    best_var = var
+        if best_var is None:
+            return None
+        phase = self._phase.get(best_var, False)
+        return best_var if phase else -best_var
+
+
+class BoundedHeapSolver(Solver):
+    """Checks the order heap's size bound at every decision."""
+
+    def _pick_branch(self):
+        assert len(self._order) <= 2 * self._num_vars
+        assert self._in_order <= set(range(1, self._num_vars + 1))
+        return super()._pick_branch()
+
+
+def test_unit_clauses_open_every_trail():
+    solver = Solver()
+    solver.add_clause([1, 2, 3])
+    solver.add_clause([-3])
+    solver.add_clause([2])
+    assert solver.solve(assumptions=[1])
+    assert solver._trail[:2] == [-3, 2]
+    solver.add_clause([-4])
+    assert solver.solve()
+    assert solver._trail[:3] == [-3, 2, -4]
+
+
+def random_clause(rng, num_vars):
+    size = 3 if rng.random() < 0.9 else rng.randint(1, 4)
+    return [rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(size)]
+
+
+@pytest.mark.parametrize("near_rescale", [False, True])
+def test_heap_makes_the_scans_decisions(near_rescale):
+    """Same answers, models and trails as the linear scan, across
+    incremental clause additions and assumptions -- including
+    assumptions on variables no clause declared.  Instances start near
+    the 3-SAT threshold and cross it, so the searches learn clauses;
+    ``near_rescale`` starts the activity increment near 1e100 so the
+    activity rescale happens mid-search."""
+    rng = random.Random(2003 + near_rescale)
+    rescaled = 0
+    for _ in range(60):
+        heap, scan = BoundedHeapSolver(), ScanSolver()
+        if near_rescale:
+            heap._var_inc = scan._var_inc = rng.uniform(1e99, 1e100)
+        start_inc = heap._var_inc
+        num_vars = rng.randint(15, 40)
+        batch = 3 * num_vars
+        for _ in range(6):
+            for _ in range(batch):
+                clause = random_clause(rng, num_vars)
+                heap.add_clause(clause)
+                scan.add_clause(clause)
+            batch = rng.randint(1, num_vars // 3)
+            assumed = rng.sample(range(1, num_vars + 4), rng.randint(0, 5))
+            assumptions = [v * rng.choice([-1, 1]) for v in assumed]
+            got = heap.solve(assumptions=assumptions)
+            assert got == scan.solve(assumptions=assumptions)
+            assert heap.model() == scan.model()
+            assert heap._trail == scan._trail
+            # Grow the universe between queries, as CnfBuilder does.
+            num_vars += rng.randint(0, 2)
+        rescaled += heap._var_inc < start_inc  # only a rescale shrinks it
+    assert rescaled > 0 or not near_rescale

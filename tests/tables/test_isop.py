@@ -50,13 +50,27 @@ def test_dontcares_simplify():
 
 
 def test_rejects_overlapping_on_dc():
-    with pytest.raises(ValueError):
-        isop(0b1, 0b1, 1)
+    # Validation runs before the memo, so every repeat raises too.
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            isop(0b1, 0b1, 1)
 
 
 def test_rejects_oversized_tables():
-    with pytest.raises(ValueError):
-        isop(1 << 8, 0, 2)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            isop(1 << 8, 0, 2)
+
+
+def test_returned_cover_is_a_fresh_list():
+    # Mutating one answer must not leak into the memoized cover.
+    on = (1 << 0b01) | (1 << 0b10)
+    first = isop(on, 0, 2)
+    expected = list(first)
+    first.clear()
+    first.append("junk")
+    assert isop(on, 0, 2) == expected
+    assert isop(on, 0, 2) is not isop(on, 0, 2)
 
 
 def test_random_functions_covered(subtests=None):
