@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro.aig import balance, dc_rewrite, resub, rewrite
-from repro.aig.kernel import available_backends, resolve_backend
 from repro.aig.rewrite import tt_sweep
 from repro.flow import PASS_REGISTRY
 from repro.sat.equiv import check_combinational_equivalence
@@ -24,7 +23,6 @@ from repro.track.bench import (
     annotated_fsm_module,
     bench_pipelines,
     build_table_aig,
-    build_wide_window_aig,
     frontend_inputs,
 )
 from repro.tech.mapper import map_aig
@@ -33,11 +31,6 @@ from repro.tech.mapper import map_aig
 @pytest.fixture(scope="module")
 def table_aig():
     return build_table_aig()
-
-
-@pytest.fixture(scope="module")
-def wide_aig():
-    return build_wide_window_aig()
 
 
 def test_bench_isop_random_functions(benchmark):
@@ -91,7 +84,7 @@ def test_bench_sat_equivalence(benchmark, table_aig):
     assert result
 
 
-def _maybe_store_run(contexts, commit=None, kernel=None) -> None:
+def _maybe_store_run(contexts) -> None:
     """Persist this run's per-pass totals when ``REPRO_RUN_STORE`` is
     set (CI exports it so every commit's bench lands in the store)."""
     store_dir = os.environ.get("REPRO_RUN_STORE")
@@ -101,8 +94,7 @@ def _maybe_store_run(contexts, commit=None, kernel=None) -> None:
 
     store_bench_record(
         contexts, store_dir,
-        commit=commit or os.environ.get("REPRO_RUN_COMMIT", "HEAD"),
-        kernel=kernel,
+        commit=os.environ.get("REPRO_RUN_COMMIT", "HEAD"),
     )
 
 
@@ -125,12 +117,9 @@ def test_bench_each_registered_pass_individually(benchmark, table_aig):
     annotations = [StateAnnotation("state", (0, 1, 2))]
     fsm, table, program, flexible, bindings = frontend_inputs()
 
-    wide_aig = build_wide_window_aig()
-
     def run():
         return (
             pipelines["leaf"].compile(aig=table_aig),
-            pipelines["kernel"].compile(aig=wide_aig),
             pipelines["optimize"].compile(aig=table_aig),
             pipelines["full"].compile(module, annotations=annotations),
             pipelines["fsm_lower"].compile(ctrl=fsm),
@@ -141,7 +130,7 @@ def test_bench_each_registered_pass_individually(benchmark, table_aig):
         )
 
     contexts = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    leaf_ctx, opt_ctx = contexts[0], contexts[2]
+    leaf_ctx, opt_ctx = contexts[0], contexts[1]
     # Isolated, attributable timings for the leaf passes.
     leaf_timings = {}
     for record in leaf_ctx.records:
@@ -177,69 +166,3 @@ def test_bench_each_registered_pass_individually(benchmark, table_aig):
     assert ctrl_records  # the frontend pipelines really ran
     assert all(record.ctrl_before is not None for record in ctrl_records)
     _maybe_store_run(contexts)
-
-
-@pytest.mark.parametrize("kernel", available_backends())
-def test_bench_leaf_passes_per_kernel(benchmark, table_aig, wide_aig, kernel):
-    """The AIG leaf + wide-window pipelines, once per kernel backend.
-
-    With ``REPRO_RUN_STORE`` set, each backend's timings persist as a
-    separate ``kernel-<name>`` series, so
-    ``python -m repro.track diff kernel-pure kernel-numpy
-    --same-structure`` gates byte-identity (zero structural deltas)
-    while exposing the wall-time gap.
-    """
-    pipelines = bench_pipelines(kernel)
-
-    def run():
-        return (
-            pipelines["leaf"].compile(aig=table_aig),
-            pipelines["kernel"].compile(aig=wide_aig),
-        )
-
-    contexts = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    leaf_ctx, kernel_ctx = contexts
-    timed = {r.name for ctx in contexts for r in ctx.records if not r.skipped}
-    assert set(AIG_LEAF_PASSES) <= timed
-    # Backend identity is result-invisible: both series report the
-    # same structural work, byte for byte.
-    assert all(
-        r.before is not None and r.after is not None
-        for r in kernel_ctx.records
-    )
-    _maybe_store_run(contexts, commit=f"kernel-{kernel}", kernel=kernel)
-
-
-def test_bench_kernel_speedup(benchmark, wide_aig):
-    """The numpy backend beats pure on the widest-window workload.
-
-    The margin asserted (1.5x on resubstitution over the wide-window
-    graph) is far below the measured gap (>3x), so scheduler noise
-    does not flake this; the precise speedup is tracked through the
-    run store, not this gate.
-    """
-    import time
-
-    if "numpy" not in available_backends():
-        pytest.skip("NumPy is not installed: no backend to compare")
-    pure = resolve_backend("pure")
-    numpy = resolve_backend("numpy")
-
-    def run_with(backend):
-        return resub(
-            wide_aig, support_limit=16, max_divisors=24, kernel=backend
-        )
-
-    run_with(numpy)  # warm the numpy import and index caches
-    start = time.perf_counter()
-    pure_result = run_with(pure)
-    pure_s = time.perf_counter() - start
-    start = time.perf_counter()
-    numpy_result = benchmark.pedantic(
-        run_with, args=(numpy,), rounds=1, iterations=1, warmup_rounds=0
-    )
-    numpy_s = time.perf_counter() - start
-    assert pure_result.canonical_hash() == numpy_result.canonical_hash()
-    assert numpy_s * 1.5 < pure_s, (
-        f"numpy backend not faster: {numpy_s:.3f}s vs pure {pure_s:.3f}s"
-    )

@@ -10,10 +10,21 @@ priority-cuts algorithm: merge fanin cut sets, discard cuts wider than
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.aig.graph import AIG, lit_node, lit_sign
-from repro.aig.kernel import resolve_backend
+from repro.aig.tt_util import expand_table
 from repro.tables.bits import all_ones, var_mask
+
+#: The cut widths :class:`CutSet` accepts.
+MIN_CUT_SIZE = 2
+MAX_CUT_SIZE = 6
+
+#: Bound on memoized cut expansions.  Cut tables have at most 6 leaves,
+#: so the distinct (table, positions, width) keys stay few (334 in a
+#: Fig. 9 run, 412 in the paper-scale technology sweep) and no
+#: benchmark workload evicts.
+EXPAND_CUT_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,15 +46,14 @@ class Cut:
 class CutSet:
     """Cuts for every node of an AIG."""
 
-    def __init__(
-        self, aig: AIG, k: int = 4, max_cuts: int = 8, kernel=None
-    ) -> None:
-        if k < 2 or k > 6:
-            raise ValueError("cut size must be between 2 and 6")
+    def __init__(self, aig: AIG, k: int = 4, max_cuts: int = 8) -> None:
+        if k < MIN_CUT_SIZE or k > MAX_CUT_SIZE:
+            raise ValueError(
+                f"cut size must be between {MIN_CUT_SIZE} and {MAX_CUT_SIZE}"
+            )
         self.aig = aig
         self.k = k
         self.max_cuts = max_cuts
-        self._kernel = resolve_backend(kernel)
         self.cuts: dict[int, list[Cut]] = {}
         self._compute()
 
@@ -68,8 +78,8 @@ class CutSet:
                     continue
                 if leaves in merged:
                     continue
-                table0 = self._kernel.expand_cut(cut0.table, cut0.leaves, leaves)
-                table1 = self._kernel.expand_cut(cut1.table, cut1.leaves, leaves)
+                table0 = expand_cut(cut0.table, cut0.leaves, leaves)
+                table1 = expand_cut(cut1.table, cut1.leaves, leaves)
                 universe = all_ones(len(leaves))
                 if lit_sign(f0):
                     table0 ^= universe
@@ -85,11 +95,26 @@ class CutSet:
         return self.cuts[node]
 
 
-def enumerate_cuts(
-    aig: AIG, k: int = 4, max_cuts: int = 8, kernel=None
-) -> CutSet:
+def enumerate_cuts(aig: AIG, k: int = 4, max_cuts: int = 8) -> CutSet:
     """Convenience constructor for :class:`CutSet`."""
-    return CutSet(aig, k=k, max_cuts=max_cuts, kernel=kernel)
+    return CutSet(aig, k=k, max_cuts=max_cuts)
+
+
+def expand_cut(
+    table: int, from_leaves: tuple[int, ...], to_leaves: tuple[int, ...]
+) -> int:
+    """Re-express a cut table over a sorted superset of its sorted
+    leaves (the cut-enumeration merge primitive).  Only where the
+    leaves land matters, so the memo is keyed on positions."""
+    if from_leaves == to_leaves:
+        return table
+    positions = tuple(map(to_leaves.index, from_leaves))
+    return _expand_cut(table, positions, len(to_leaves))
+
+
+@lru_cache(maxsize=EXPAND_CUT_MEMO_SIZE)
+def _expand_cut(table: int, positions: tuple[int, ...], width: int) -> int:
+    return expand_table(table, positions, tuple(range(width)))
 
 
 def _drop_dominated(cuts: list[Cut]) -> list[Cut]:

@@ -39,14 +39,19 @@ from __future__ import annotations
 
 from repro.aig.cuts import CutSet
 from repro.aig.graph import AIG, lit_node
-from repro.aig.kernel import NU, resolve_backend
 from repro.aig.rewrite import (
     build_plan,
+    global_node_tables,
     mffc_sizes,
     plan_cover,
 )
+from repro.aig.tt_util import expand_table, remove_var
+from repro.tables.bits import all_ones, cofactor0, cofactor1
 
-__all__ = ["NU", "dc_rewrite"]
+#: Sentinel variable standing for "the node under analysis" while its
+#: value is replayed through the fanout window; sorts before every
+#: real node id, so it is always variable 0 of a window table.
+NU = -1
 
 
 def dc_rewrite(
@@ -55,7 +60,6 @@ def dc_rewrite(
     max_cuts: int = 6,
     tfo_depth: int = 2,
     support_limit: int = 10,
-    kernel=None,
     external_care=None,
 ) -> AIG:
     """One pass of don't-care-aware cut rewriting.
@@ -96,9 +100,8 @@ def dc_rewrite(
     if support_limit < 1:
         raise ValueError(f"support_limit must be >= 1, got {support_limit}")
 
-    backend = resolve_backend(kernel)
-    tables = backend.global_node_tables(aig, support_limit)
-    cuts = CutSet(aig, k=k, max_cuts=max_cuts, kernel=backend)
+    tables = global_node_tables(aig, support_limit)
+    cuts = CutSet(aig, k=k, max_cuts=max_cuts)
     mffc = mffc_sizes(aig)
     topo = aig.topo_order()
     topo_position = {node: index for index, node in enumerate(topo)}
@@ -140,7 +143,7 @@ def dc_rewrite(
         # and its side logic -- is still exact.
         if stale and not stale.isdisjoint(roots):
             continue
-        observability = backend.observability(
+        observability = _observability(
             aig, node, tfo, roots, tables, topo_position, support_limit
         )
         if observability is None:
@@ -148,7 +151,7 @@ def dc_rewrite(
         obs_sources, obs_table = observability
         if external_care:
             obs_sources, obs_table = _merge_care(
-                backend, obs_sources, obs_table, external_care, support_limit
+                obs_sources, obs_table, external_care, support_limit
             )
 
         budget = mffc[node]
@@ -156,16 +159,14 @@ def dc_rewrite(
         for cut in cuts[node]:
             if cut.size < 2 or cut.leaves == (node,):
                 continue
-            dc = backend.cut_dontcares(
+            dc = _cut_dontcares(
                 cut.leaves, tables, obs_sources, obs_table, support_limit
             )
             if not dc:
                 continue  # no freedom here: the exact pass's job
             on = cut.table & ~dc
             leaf_lits = [translate(leaf << 1) for leaf in cut.leaves]
-            cost, plan = plan_cover(
-                new, on, dc, cut.size, leaf_lits, kernel=backend
-            )
+            cost, plan = plan_cover(new, on, dc, cut.size, leaf_lits)
             if cost < budget:
                 best_lit = build_plan(
                     new, plan, on, dc, cut.size, leaf_lits
@@ -187,7 +188,6 @@ def dc_rewrite(
 
 
 def _merge_care(
-    backend,
     obs_sources: tuple,
     obs_table: int,
     external_care,
@@ -197,7 +197,7 @@ def _merge_care(
 
     The merge happens over the sorted union of the window's and the
     predicate's sources -- both truth tables are re-expressed there and
-    conjoined, exactly the domain :meth:`cut_dontcares` later expands
+    conjoined, exactly the domain :func:`_cut_dontcares` later expands
     to the cut's source union.  Pairs that would push the support past
     ``support_limit`` are skipped (the window keeps what it has), so
     the result is never less sound than the plain observability care.
@@ -209,12 +209,12 @@ def _merge_care(
         if len(union) > support_limit:
             continue
         if sources:
-            expanded = backend.expand_table(table, sources, union)
+            expanded = expand_table(table, sources, union)
         else:
             # Root windows carry a constant care (1: everything
             # observable); replicate it over the new source universe.
             expanded = (1 << (1 << len(union))) - 1 if table else 0
-        table = expanded & backend.expand_table(
+        table = expanded & expand_table(
             care_table, tuple(care_sources), union
         )
         sources = union
@@ -286,8 +286,142 @@ def _mark_stale(
         stack.extend(fanout_adj.get(member, ()))
 
 
-# The observability replay (NU-variable window differentiation) and
-# the SDC+ODC leaf-vector image live in the kernel backends now --
-# :meth:`repro.aig.kernel.KernelBackend.observability` and
-# :meth:`repro.aig.kernel.KernelBackend.cut_dontcares`; the pure
-# implementations moved verbatim to :mod:`repro.aig.kernel.pure`.
+def _observability(
+    aig: AIG,
+    node: int,
+    tfo: set[int],
+    roots: set[int],
+    tables,
+    topo_position: dict[int, int],
+    support_limit: int,
+):
+    """Observability of ``node`` at its window roots.
+
+    Replays the node's value as the free variable :data:`NU` through
+    the window and differentiates every root against it.  Returns
+    ``(sources, obs_table)`` where ``obs_table`` over ``sources``
+    marks the assignments on which some root sees a flip -- with the
+    convention that ``sources == ()`` means the constant table:
+    ``obs_table`` 0 (never observable) or 1 (always observable, also
+    used when the node itself is a root).  Returns ``None`` when a
+    window table exceeds the support budget.
+    """
+    if node in roots:
+        return (), 1
+    nu_tables: dict[int, tuple[tuple[int, ...], int]] = {
+        node: ((NU,), 0b10)
+    }
+    for member in sorted(tfo - {node}, key=topo_position.__getitem__):
+        merged = _nu_node_table(
+            aig, member, nu_tables, tables, support_limit
+        )
+        if merged is None:
+            return None
+        nu_tables[member] = merged
+
+    union_sources: set[int] = set()
+    diffs: list[tuple[tuple[int, ...], int]] = []
+    for root in roots:
+        leaves, table = nu_tables[root]
+        if NU not in leaves:
+            continue  # the window paths cancelled: root ignores the node
+        position = leaves.index(NU)
+        flip = cofactor0(table, position, len(leaves)) ^ cofactor1(
+            table, position, len(leaves)
+        )
+        flip = remove_var(flip, position, len(leaves))
+        rest = tuple(leaf for leaf in leaves if leaf != NU)
+        if flip:
+            diffs.append((rest, flip))
+            union_sources.update(rest)
+    if not diffs:
+        return (), 0
+    sources = tuple(sorted(union_sources))
+    if len(sources) > support_limit:
+        return None
+    obs = 0
+    for rest, flip in diffs:
+        obs |= expand_table(flip, rest, sources)
+    return sources, obs
+
+
+def _nu_node_table(
+    aig: AIG,
+    member: int,
+    nu_tables,
+    tables,
+    support_limit: int,
+):
+    """Truth table of a window member over sources plus :data:`NU`."""
+    f0, f1 = aig.fanins(member)
+    keys = []
+    for lit in (f0, f1):
+        fanin = lit_node(lit)
+        key = nu_tables.get(fanin) or tables[fanin]
+        if key is None:
+            return None
+        keys.append(key)
+    (leaves0, table0), (leaves1, table1) = keys
+    leaves = tuple(sorted(set(leaves0) | set(leaves1)))
+    # One extra slot for NU on top of the source budget.
+    if len(leaves) > support_limit + 1:
+        return None
+    expanded0 = expand_table(table0, leaves0, leaves)
+    expanded1 = expand_table(table1, leaves1, leaves)
+    universe = all_ones(len(leaves))
+    if f0 & 1:
+        expanded0 ^= universe
+    if f1 & 1:
+        expanded1 ^= universe
+    return leaves, expanded0 & expanded1
+
+
+def _cut_dontcares(
+    leaves: tuple[int, ...],
+    tables,
+    obs_sources: tuple[int, ...],
+    obs_table: int,
+    support_limit: int,
+) -> int:
+    """Combined SDC+ODC table over a cut's leaf variables.
+
+    A leaf minterm is a don't-care when no source assignment both
+    produces it (satisfiability) and makes the node observable at the
+    window roots (observability).  Returns 0 when the computation is
+    infeasible or yields no freedom.
+    """
+    leaf_keys = []
+    for leaf in leaves:
+        key = tables[leaf]
+        if key is None:
+            return 0
+        leaf_keys.append(key)
+    universe_sources: set[int] = set(obs_sources)
+    for leaf_sources, _ in leaf_keys:
+        universe_sources.update(leaf_sources)
+    if len(universe_sources) > support_limit:
+        return 0
+    sources = tuple(sorted(universe_sources))
+    universe = all_ones(len(sources))
+    if obs_sources == ():
+        care_space = universe if obs_table else 0
+    else:
+        care_space = expand_table(obs_table, obs_sources, sources)
+    leaf_tables = [
+        expand_table(table, leaf_sources, sources)
+        for leaf_sources, table in leaf_keys
+    ]
+
+    dc = 0
+    for vector in range(1 << len(leaves)):
+        achievers = care_space
+        for index, leaf_table in enumerate(leaf_tables):
+            if not achievers:
+                break
+            if (vector >> index) & 1:
+                achievers &= leaf_table
+            else:
+                achievers &= ~leaf_table & universe
+        if not achievers:
+            dc |= 1 << vector
+    return dc

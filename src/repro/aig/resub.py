@@ -31,14 +31,15 @@ SAT-based equivalence on randomized graphs.
 from __future__ import annotations
 
 from repro.aig.graph import AIG
-from repro.aig.kernel import resolve_backend
 from repro.aig.rewrite import (
     build_plan,
     deref_cone,
+    global_node_tables,
     plan_cover,
     reref_cone,
 )
-from repro.tables.bits import all_ones, var_mask
+from repro.aig.tt_util import expand_table
+from repro.tables.bits import all_ones, popcount, var_mask
 
 #: Hard ceiling on divisors entering one dependency function: ``h`` is
 #: resynthesised through truth tables, so its universe must stay small.
@@ -50,7 +51,6 @@ def resub(
     k: int = 3,
     max_divisors: int = 16,
     support_limit: int = 8,
-    kernel=None,
 ) -> AIG:
     """One resubstitution pass; returns the (possibly) smaller graph.
 
@@ -76,8 +76,7 @@ def resub(
     if support_limit < 1:
         raise ValueError(f"support_limit must be >= 1, got {support_limit}")
 
-    backend = resolve_backend(kernel)
-    tables = backend.global_node_tables(aig, support_limit)
+    tables = global_node_tables(aig, support_limit)
     refs = aig.fanout_counts()
 
     new = AIG()
@@ -119,7 +118,6 @@ def resub(
                 k,
                 max_divisors,
                 budget,
-                backend,
             )
             if candidate is not None:
                 best_lit = candidate
@@ -149,7 +147,6 @@ def _try_resub(
     k: int,
     max_divisors: int,
     budget: int,
-    backend,
 ) -> int | None:
     """Attempt to re-express ``node``; returns the new literal or None."""
     universe = all_ones(len(sources))
@@ -182,33 +179,102 @@ def _try_resub(
         d_sources, d_table = key
         if not d_sources or not set(d_sources) <= source_set:
             continue
-        expanded = backend.expand_table(d_table, d_sources, sources)
+        expanded = expand_table(d_table, d_sources, sources)
         if expanded == 0 or expanded == universe:
             continue
         divisors.append((old, expanded))
         taken += 1
 
-    # Divisor selection and the dependency function are kernel batch
-    # ops (partition refinement / vector histograms); every backend
-    # implements the same greedy with the same tie-breaks.
-    chosen_indices = backend.pick_divisors(
-        table, [d_table for _, d_table in divisors], len(sources), k
-    )
-    if chosen_indices is None:
+    chosen = _pick_divisors(table, universe, divisors, k)
+    if chosen is None:
         return None
-    chosen = [divisors[index] for index in chosen_indices]
 
-    on, dc = backend.dependency_function(
+    on, dc = _dependency_function(
         table, [d for _, d in chosen], len(sources)
     )
     leaf_lits = [
         translate(old << 1) for old, _ in chosen
     ]
-    cost, plan = plan_cover(
-        new, on, dc, len(chosen), leaf_lits, kernel=backend
-    )
+    cost, plan = plan_cover(new, on, dc, len(chosen), leaf_lits)
     if cost >= budget:
         return None
     return build_plan(new, plan, on, dc, len(chosen), leaf_lits)
 
 
+def _pick_divisors(
+    table: int, universe: int, divisors: list[tuple[int, int]], k: int
+) -> list[tuple[int, int]] | None:
+    """Greedily select <= k divisors that distinguish ON from OFF.
+
+    The source assignments are partitioned by the value vector of the
+    selected divisors; a partition holding both ON and OFF minterms of
+    ``table`` is a conflict.  Each step adds the divisor that removes
+    the most conflicting mass; failure to reach zero conflicts within
+    ``k`` picks means no dependency function exists over this pool.
+    """
+    groups = [universe]
+    chosen: list[tuple[int, int]] = []
+
+    def conflict_mass(parts: list[int]) -> int:
+        total = 0
+        for part in parts:
+            on_count = popcount(table & part)
+            off_count = popcount(~table & universe & part)
+            total += min(on_count, off_count)
+        return total
+
+    current = conflict_mass(groups)
+    while current > 0 and len(chosen) < k:
+        best = None
+        best_mass = current
+        for index, (old, d_table) in enumerate(divisors):
+            if any(old == picked for picked, _ in chosen):
+                continue
+            parts = []
+            for group in groups:
+                hi = group & d_table
+                lo = group & ~d_table & universe
+                if hi:
+                    parts.append(hi)
+                if lo:
+                    parts.append(lo)
+            mass = conflict_mass(parts)
+            if mass < best_mass:
+                best = (index, parts)
+                best_mass = mass
+        if best is None:
+            return None  # no divisor makes progress
+        index, parts = best
+        chosen.append(divisors[index])
+        groups = parts
+        current = best_mass
+    if current > 0:
+        return None
+    return chosen
+
+
+def _dependency_function(
+    table: int, divisor_tables: list[int], num_sources: int
+) -> tuple[int, int]:
+    """Truth table of ``h`` with ``h(d_1(x),...,d_m(x)) = f(x)``.
+
+    Returns ``(on, dc)`` over the divisor variables: divisor vectors
+    produced only by OFF assignments are OFF (implicitly), only by ON
+    assignments are ON, and vectors no assignment produces are
+    don't-cares -- the satisfiability don't-cares of the divisor set.
+    The caller guarantees conflict-freedom, so the classification is
+    total.
+    """
+    num_vars = len(divisor_tables)
+    on = 0
+    seen = 0
+    for minterm in range(1 << num_sources):
+        vector = 0
+        for index, d_table in enumerate(divisor_tables):
+            if (d_table >> minterm) & 1:
+                vector |= 1 << index
+        seen |= 1 << vector
+        if (table >> minterm) & 1:
+            on |= 1 << vector
+    dc = all_ones(num_vars) & ~seen
+    return on, dc

@@ -18,9 +18,10 @@ SAT-based equivalence on randomized graphs.
 from __future__ import annotations
 
 from repro.aig.cuts import CutSet
-from repro.aig.graph import AIG, lit_compl, lit_node
-from repro.aig.kernel import resolve_backend
-from repro.tables.bits import all_ones
+from repro.aig.graph import AIG, lit_compl, lit_node, lit_sign
+from repro.aig.tt_util import expand_table, project_table
+from repro.tables.bits import all_ones, tt_support
+from repro.tables.isop import isop
 
 _SWEEP_SUPPORT_LIMIT = 12
 
@@ -35,9 +36,7 @@ def adaptive_support_limit(aig: AIG) -> int:
     return 8
 
 
-def tt_sweep(
-    aig: AIG, support_limit: int | None = None, kernel=None
-) -> AIG:
+def tt_sweep(aig: AIG, support_limit: int | None = None) -> AIG:
     """Merge functionally equivalent nodes (exact, windowed).
 
     Every AND node whose structural support has at most
@@ -51,7 +50,7 @@ def tt_sweep(
     # OLD node id -> (sorted source tuple, table) or None when too
     # wide; depends only on the input graph, so the shared propagation
     # computes it up front.
-    tables = global_node_tables(aig, support_limit, kernel=kernel)
+    tables = global_node_tables(aig, support_limit)
     new = AIG()
     lit_map: dict[int, int] = {0: 0}
     canonical: dict[tuple[tuple[int, ...], int], int] = {}
@@ -99,7 +98,33 @@ def tt_sweep(
     return compacted
 
 
-def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6, kernel=None) -> AIG:
+def _node_table(f0: int, f1: int, tables, support_limit: int):
+    """Truth table of an AND node over the union of fanin sources."""
+    key0 = tables[lit_node(f0)]
+    key1 = tables[lit_node(f1)]
+    if key0 is None or key1 is None:
+        return None
+    leaves0, table0 = key0
+    leaves1, table1 = key1
+    leaves = tuple(sorted(set(leaves0) | set(leaves1)))
+    if len(leaves) > support_limit:
+        return None
+    expanded0 = expand_table(table0, leaves0, leaves)
+    expanded1 = expand_table(table1, leaves1, leaves)
+    universe = all_ones(len(leaves))
+    if lit_sign(f0):
+        expanded0 ^= universe
+    if lit_sign(f1):
+        expanded1 ^= universe
+    table = expanded0 & expanded1
+    support = tt_support(table, len(leaves))
+    if len(support) != len(leaves):
+        table = project_table(table, support, len(leaves))
+        leaves = tuple(leaves[i] for i in support)
+    return leaves, table
+
+
+def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6) -> AIG:
     """One pass of cut-based local resynthesis.
 
     For every AND node, try to re-express its best ``k``-cut function
@@ -108,8 +133,7 @@ def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6, kernel=None) -> AIG:
     with a dry run against the new graph's structural hash table, so
     rejected candidates leave no residue.
     """
-    backend = resolve_backend(kernel)
-    cuts = CutSet(aig, k=k, max_cuts=max_cuts, kernel=backend)
+    cuts = CutSet(aig, k=k, max_cuts=max_cuts)
     mffc = mffc_sizes(aig)
     new = AIG()
     lit_map: dict[int, int] = {0: 0}
@@ -131,9 +155,7 @@ def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6, kernel=None) -> AIG:
             if cut.size < 2 or cut.leaves == (node,):
                 continue
             leaf_lits = [translate(leaf << 1) for leaf in cut.leaves]
-            cost, plan = plan_cover(
-                new, cut.table, 0, cut.size, leaf_lits, kernel=backend
-            )
+            cost, plan = plan_cover(new, cut.table, 0, cut.size, leaf_lits)
             if cost < budget:
                 candidate = build_plan(new, plan, cut.table, 0, cut.size, leaf_lits)
                 best_lit = candidate
@@ -149,7 +171,7 @@ def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6, kernel=None) -> AIG:
 
 
 def global_node_tables(
-    aig: AIG, support_limit: int, kernel=None
+    aig: AIG, support_limit: int
 ) -> dict[int, tuple[tuple[int, ...], int] | None]:
     """Windowed global truth tables for every node.
 
@@ -162,12 +184,16 @@ def global_node_tables(
     divisor/don't-care reasoning.  Because the variables are genuine
     sources (every assignment of them is achievable), conclusions
     drawn from these tables are exact, never approximate.
-
-    The propagation itself is a :class:`repro.aig.kernel.KernelBackend`
-    batch op (``kernel`` follows the usual resolution order); every
-    backend returns identical tables.
     """
-    return resolve_backend(kernel).global_node_tables(aig, support_limit)
+    tables: dict[int, tuple[tuple[int, ...], int] | None] = {0: ((), 0)}
+    for node in aig.pis:
+        tables[node] = ((node,), 0b10)
+    for latch in aig.latches:
+        tables[latch.node] = ((latch.node,), 0b10)
+    for node in aig.topo_order():
+        f0, f1 = aig.fanins(node)
+        tables[node] = _node_table(f0, f1, tables, support_limit)
+    return tables
 
 
 def deref_cone(
@@ -225,15 +251,14 @@ def mffc_sizes(aig: AIG) -> list[int]:
 
 
 def plan_cover(
-    aig: AIG, on: int, dc: int, num_vars: int, leaf_lits: list[int],
-    kernel=None,
+    aig: AIG, on: int, dc: int, num_vars: int, leaf_lits: list[int]
 ):
     """Dry-run ISOP construction of any function ``g`` with
     ``on <= g <= on | dc``; returns (new-node count, cube plan)."""
     universe = all_ones(num_vars)
     if on == 0 or (on | dc) == universe:
         return 0, []
-    cubes = resolve_backend(kernel).isop_cover(on, dc, num_vars)
+    cubes = isop(on, dc, num_vars)
     overlay: dict[tuple[int, int], int] = {}
     next_fake = [aig.num_nodes]
 

@@ -44,7 +44,6 @@ on your machine.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import os
 import pickle
 import tempfile
@@ -86,10 +85,9 @@ FINGERPRINT_VERSION = 5
 #: blobs that still arrive through a shared backend.
 SNAPSHOT_VERSION = 1
 
-#: The two entry kinds a cache backend may be asked to move: completed
-#: compile results (the historical namespace) and mid-pipeline stage
-#: snapshots.  Backends that predate kinds simply never receive the
-#: keyword (see :func:`backend_load`/:func:`backend_store`).
+#: The two entry kinds a cache backend moves: completed compile results
+#: (the historical namespace) and mid-pipeline stage snapshots.  Every
+#: backend ``load``/``store`` takes the kind as its ``kind=`` keyword.
 ENTRY_KIND = "entry"
 SNAPSHOT_KIND = "snapshot"
 
@@ -303,8 +301,8 @@ def snapshot_key(prefix_fingerprint: str) -> str:
 
     Derived (not equal): hashing the prefix fingerprint with a
     kind/version tag keeps snapshots out of the completed-entry
-    namespace even on backends that predate entry kinds, keeps the
-    key a 64-hex digest the server's wire validation accepts, and
+    namespace even on a backend that stores both kinds together, keeps
+    the key a 64-hex digest the server's wire validation accepts, and
     makes a :data:`SNAPSHOT_VERSION` bump orphan old snapshots
     instead of mis-reading them.
     """
@@ -412,57 +410,20 @@ class CacheBackend:
     unrelated lookups.
     """
 
-    def load(self, key: str) -> bytes | None:
-        """The stored blob for ``key``, or ``None`` on a miss.  I/O
-        failures read as misses, never as errors."""
+    def load(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
+        """The stored ``kind`` blob for ``key``, or ``None`` on a miss.
+        I/O failures read as misses, never as errors."""
         raise NotImplementedError
 
-    def store(self, key: str, blob: bytes) -> None:
-        """Persist ``blob`` under ``key``, replacing any previous
-        entry.  Concurrent writers of the same key must be safe."""
+    def store(self, key: str, blob: bytes, kind: str = ENTRY_KIND) -> None:
+        """Persist ``blob`` under ``key`` in the ``kind`` namespace,
+        replacing any previous entry.  Concurrent writers of the same
+        key must be safe."""
         raise NotImplementedError
 
     def stats(self) -> dict:
         """A JSON-safe description of the backend for ``/stats``."""
         return {"kind": type(self).__name__}
-
-
-def _kind_aware(method) -> bool:
-    """Whether a backend load/store method accepts the ``kind=``
-    keyword.  Inspected (not duck-called): a kind-unaware custom
-    backend must keep working unchanged, and catching ``TypeError``
-    around the call would swallow genuine bugs inside the backend."""
-    try:
-        parameters = inspect.signature(method).parameters
-    except (TypeError, ValueError):  # builtins, mocks without signatures
-        return False
-    return "kind" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def backend_load(
-    backend: CacheBackend, key: str, kind: str = ENTRY_KIND
-) -> bytes | None:
-    """Load ``key`` from ``backend``, passing ``kind`` only to
-    backends that understand it.  Kind-unaware backends share one
-    namespace for both kinds -- safe, because snapshot keys are
-    derived digests (:func:`snapshot_key`) that cannot collide with
-    entry fingerprints."""
-    if _kind_aware(backend.load):
-        return backend.load(key, kind=kind)
-    return backend.load(key)
-
-
-def backend_store(
-    backend: CacheBackend, key: str, blob: bytes, kind: str = ENTRY_KIND
-) -> None:
-    """Store ``blob`` under ``key``, passing ``kind`` only to backends
-    that understand it (see :func:`backend_load`)."""
-    if _kind_aware(backend.store):
-        backend.store(key, blob, kind=kind)
-    else:
-        backend.store(key, blob)
 
 
 class LocalDirBackend(CacheBackend):
@@ -731,7 +692,7 @@ class CompileCache:
         """
         self.put_memory(key, ctx)
         if self.backend is not None:
-            backend_store(self.backend, key, _dumps(ctx), kind=ENTRY_KIND)
+            self.backend.store(key, _dumps(ctx), kind=ENTRY_KIND)
         with self._lock:
             self.stores += 1
 
@@ -751,7 +712,7 @@ class CompileCache:
             if blob is not None:
                 self._snapshots.move_to_end(key)
         if blob is None and self.backend is not None:
-            blob = backend_load(self.backend, key, kind=SNAPSHOT_KIND)
+            blob = self.backend.load(key, kind=SNAPSHOT_KIND)
         snapshot = None if blob is None else _loads_snapshot(blob)
         if snapshot is None:
             with self._lock:
@@ -787,7 +748,7 @@ class CompileCache:
         key = snapshot_key(prefix_fingerprint)
         self._put_snapshot_memory(key, blob)
         if self.backend is not None:
-            backend_store(self.backend, key, blob, kind=SNAPSHOT_KIND)
+            self.backend.store(key, blob, kind=SNAPSHOT_KIND)
         with self._lock:
             self.snapshot_stores += 1
 
@@ -809,7 +770,7 @@ class CompileCache:
             return _loads(_dumps(ctx))
         if self.backend is None:
             return None
-        blob = backend_load(self.backend, key, kind=ENTRY_KIND)
+        blob = self.backend.load(key, kind=ENTRY_KIND)
         return None if blob is None else _loads(blob)
 
     def _put_snapshot_memory(self, key: str, blob: bytes) -> None:
@@ -877,7 +838,7 @@ class CompileCache:
     def _backend_get(self, key: str) -> "FlowContext | None":
         if self.backend is None:
             return None
-        blob = backend_load(self.backend, key, kind=ENTRY_KIND)
+        blob = self.backend.load(key, kind=ENTRY_KIND)
         if blob is None:
             return None
         return _loads(blob)
@@ -893,7 +854,7 @@ class CompileCache:
         this cache sees exactly what a local cache would have stored.
         """
         if self.backend is not None:
-            blob = backend_load(self.backend, key, kind=kind)
+            blob = self.backend.load(key, kind=kind)
             if blob is not None:
                 return blob
         if kind == SNAPSHOT_KIND:
@@ -920,7 +881,7 @@ class CompileCache:
             True when the entry was accepted.
         """
         if self.backend is not None:
-            backend_store(self.backend, key, blob, kind=kind)
+            self.backend.store(key, blob, kind=kind)
             with self._lock:
                 if kind == SNAPSHOT_KIND:
                     self.snapshot_stores += 1

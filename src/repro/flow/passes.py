@@ -32,9 +32,9 @@ from __future__ import annotations
 import random
 
 from repro.aig.balance import balance
+from repro.aig.cuts import MAX_CUT_SIZE, MIN_CUT_SIZE
 from repro.aig.dontcare import dc_rewrite
 from repro.aig.graph import AIG
-from repro.aig.kernel import KERNEL_CHOICES
 from repro.aig.resub import MAX_RESUB_K, resub
 from repro.aig.rewrite import rewrite, tt_sweep
 from repro.flow.combinators import FixedPoint, WhileProgress
@@ -283,59 +283,40 @@ class BalancePass(Pass):
         ctx.aig = balance(ctx.aig)
 
 
-def _kernel_option() -> Option:
-    """The ``kernel=`` option of the truth-table passes.
-
-    Registered in the schema so ``repro.check`` typechecks it, but
-    deliberately EXCLUDED from every ``params()``: backends produce
-    byte-identical results, so the choice must stay invisible to
-    ``flow_fingerprint`` -- a compile cached under one backend is valid
-    under the other.
-    """
-    return Option(
-        "str",
-        default=None,
-        nullable=True,
-        choices=KERNEL_CHOICES,
-        help="truth-table kernel backend (fingerprint-invisible)",
-    )
+def _cut_options() -> dict:
+    """The cut-enumeration options ``rewrite`` and ``dc_rewrite``
+    share; the bounds are :class:`~repro.aig.cuts.CutSet`'s."""
+    return {
+        "k": Option(
+            "int", default=4, min=MIN_CUT_SIZE, max=MAX_CUT_SIZE,
+            help="cut input size",
+        ),
+        "max_cuts": Option(
+            "int", default=6, min=1, help="cuts enumerated per node"
+        ),
+    }
 
 
-def _check_kernel(kernel) -> None:
-    if kernel is not None and kernel not in KERNEL_CHOICES:
+def _check_cut_options(k: int, max_cuts: int) -> None:
+    if k < MIN_CUT_SIZE or k > MAX_CUT_SIZE:
         raise ValueError(
-            f"kernel must be one of {', '.join(KERNEL_CHOICES)}, "
-            f"got {kernel!r}"
+            f"k must be in {MIN_CUT_SIZE}..{MAX_CUT_SIZE}, got {k}"
         )
+    if max_cuts < 1:
+        raise ValueError(f"max_cuts must be >= 1, got {max_cuts}")
 
 
-@register_pass(
-    "rewrite",
-    PassSchema(
-        stage="aig",
-        options={
-            "k": Option("int", default=4, help="cut input size"),
-            "max_cuts": Option(
-                "int", default=6, help="cuts enumerated per node"
-            ),
-            "kernel": _kernel_option(),
-        },
-    ),
-)
+@register_pass("rewrite", PassSchema(stage="aig", options=_cut_options()))
 class RewritePass(Pass):
     """Cut-based rewriting against precomputed NPN structures."""
 
-    def __init__(
-        self, k: int = 4, max_cuts: int = 6, kernel: str | None = None
-    ) -> None:
+    def __init__(self, k: int = 4, max_cuts: int = 6) -> None:
         super().__init__()
-        _check_kernel(kernel)
+        _check_cut_options(k, max_cuts)
         self.k = k
         self.max_cuts = max_cuts
-        self.kernel = kernel
 
     def params(self) -> dict:
-        # `kernel` is intentionally absent: fingerprint-invisible.
         params = {}
         if self.k != 4:
             params["k"] = self.k
@@ -344,9 +325,7 @@ class RewritePass(Pass):
         return params
 
     def run(self, ctx: FlowContext) -> None:
-        ctx.aig = rewrite(
-            ctx.aig, k=self.k, max_cuts=self.max_cuts, kernel=self.kernel
-        )
+        ctx.aig = rewrite(ctx.aig, k=self.k, max_cuts=self.max_cuts)
 
 
 @register_pass(
@@ -368,7 +347,6 @@ class RewritePass(Pass):
                 "int", default=8, min=1,
                 help="skip nodes whose cone support exceeds this",
             ),
-            "kernel": _kernel_option(),
         },
     ),
 )
@@ -382,7 +360,6 @@ class ResubPass(Pass):
         k: int = 3,
         max_divisors: int = 16,
         support_limit: int = 8,
-        kernel: str | None = None,
     ) -> None:
         super().__init__()
         if k < 1 or k > MAX_RESUB_K:
@@ -393,14 +370,11 @@ class ResubPass(Pass):
             raise ValueError(
                 f"support_limit must be >= 1, got {support_limit}"
             )
-        _check_kernel(kernel)
         self.k = k
         self.max_divisors = max_divisors
         self.support_limit = support_limit
-        self.kernel = kernel
 
     def params(self) -> dict:
-        # `kernel` is intentionally absent: fingerprint-invisible.
         params = {}
         if self.k != 3:
             params["k"] = self.k
@@ -417,7 +391,6 @@ class ResubPass(Pass):
             k=self.k,
             max_divisors=self.max_divisors,
             support_limit=self.support_limit,
-            kernel=self.kernel,
         )
         saved = before - ctx.aig.num_ands
         if saved:
@@ -430,10 +403,7 @@ class ResubPass(Pass):
     PassSchema(
         stage="aig",
         options={
-            "k": Option("int", default=4, help="cut input size"),
-            "max_cuts": Option(
-                "int", default=6, help="cuts enumerated per node"
-            ),
+            **_cut_options(),
             "tfo_depth": Option(
                 "int", default=2, min=1,
                 help="fanout-window depth for observability don't-cares",
@@ -442,7 +412,6 @@ class ResubPass(Pass):
                 "int", default=10, min=1,
                 help="skip windows whose support exceeds this",
             ),
-            "kernel": _kernel_option(),
         },
         requires_facts=True,
     ),
@@ -469,24 +438,21 @@ class DcRewritePass(Pass):
         max_cuts: int = 6,
         tfo_depth: int = 2,
         support_limit: int = 10,
-        kernel: str | None = None,
     ) -> None:
         super().__init__()
+        _check_cut_options(k, max_cuts)
         if tfo_depth < 1:
             raise ValueError(f"tfo_depth must be >= 1, got {tfo_depth}")
         if support_limit < 1:
             raise ValueError(
                 f"support_limit must be >= 1, got {support_limit}"
             )
-        _check_kernel(kernel)
         self.k = k
         self.max_cuts = max_cuts
         self.tfo_depth = tfo_depth
         self.support_limit = support_limit
-        self.kernel = kernel
 
     def params(self) -> dict:
-        # `kernel` is intentionally absent: fingerprint-invisible.
         params = {}
         if self.k != 4:
             params["k"] = self.k
@@ -506,7 +472,6 @@ class DcRewritePass(Pass):
             max_cuts=self.max_cuts,
             tfo_depth=self.tfo_depth,
             support_limit=self.support_limit,
-            kernel=self.kernel,
         )
         external_care = self._discharged_care(ctx)
         if external_care:
@@ -516,7 +481,6 @@ class DcRewritePass(Pass):
                 max_cuts=self.max_cuts,
                 tfo_depth=self.tfo_depth,
                 support_limit=self.support_limit,
-                kernel=self.kernel,
                 external_care=external_care,
             )
             if assisted.num_ands < plain.num_ands:

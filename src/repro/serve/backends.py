@@ -29,13 +29,7 @@ import threading
 import urllib.error
 import urllib.request
 
-from repro.flow.cache import (
-    ENTRY_KIND,
-    SNAPSHOT_KIND,
-    CacheBackend,
-    backend_load,
-    backend_store,
-)
+from repro.flow.cache import ENTRY_KIND, SNAPSHOT_KIND, CacheBackend
 
 #: Cache entries are a few hundred KB of pickle; a hung shared cache
 #: must not stall a compile longer than the compile itself would take.
@@ -157,21 +151,20 @@ class TieredBackend(CacheBackend):
         self.promotions = 0  # guarded-by: _lock
 
     def load(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
-        # backend_load/backend_store pass ``kind`` through only to
-        # layers that take it, so a tier composed over a kind-unaware
-        # custom backend keeps working.
-        blob = backend_load(self.near, key, kind=kind)
+        # Both layers keep entries and snapshots apart by ``kind``, so
+        # a promoted far hit lands in the near layer's same namespace.
+        blob = self.near.load(key, kind=kind)
         if blob is not None:
             with self._lock:
                 self.near_hits += 1
             return blob
-        blob = backend_load(self.far, key, kind=kind)
+        blob = self.far.load(key, kind=kind)
         if blob is None:
             return None
         with self._lock:
             self.far_hits += 1
         try:
-            backend_store(self.near, key, blob, kind=kind)
+            self.near.store(key, blob, kind=kind)
             with self._lock:
                 self.promotions += 1
         except OSError:
@@ -179,8 +172,8 @@ class TieredBackend(CacheBackend):
         return blob
 
     def store(self, key: str, blob: bytes, kind: str = ENTRY_KIND) -> None:
-        backend_store(self.near, key, blob, kind=kind)
-        backend_store(self.far, key, blob, kind=kind)
+        self.near.store(key, blob, kind=kind)
+        self.far.store(key, blob, kind=kind)
 
     def stats(self) -> dict:
         with self._lock:

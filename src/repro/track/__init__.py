@@ -148,7 +148,7 @@ def cmd_record(args) -> int:
         started = time.time()
         if name == BENCH_FIGURE:
             # Always executed, never cached: the timings are the point.
-            result = run_pass_bench(kernel=args.kernel)
+            result = run_pass_bench()
             scale = ""
         else:
             result = _run_figure(name, args.scale, workers, cache)
@@ -248,7 +248,7 @@ def cmd_diff(args) -> int:
             # Byte-identity gate: the two runs must have done the
             # same *work* -- same figure points, same call/AND-delta
             # counters -- with only wall clocks free to move.  This is
-            # how CI checks that kernel backends are result-invisible.
+            # how CI checks that prefix resume is deterministic.
             drift = (
                 diff.changed_points()
                 or diff.structural_changes()
@@ -369,14 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="disable the compile cache for this record",
     )
-    record.add_argument(
-        "--kernel", default=None, choices=["pure", "numpy", "auto"],
-        help="pin the truth-table kernel backend for the bench "
-        "figure's kernel-aware passes (default: REPRO_KERNEL/auto "
-        "resolution); results are byte-identical across backends, so "
-        "two records differing only here diff with zero structural "
-        "deltas",
-    )
     add_store_dir(record)
     record.set_defaults(func=cmd_record)
 
@@ -423,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--same-structure", action="store_true",
         help="additionally require the two runs to have done "
         "identical work (no figure-point changes, no pass call/AND "
-        "count drift; wall times remain free) -- the byte-identity "
-        "gate for kernel-backend records",
+        "count drift; wall times remain free) -- the determinism "
+        "gate for two records of the prefix benchmark",
     )
     diff.add_argument(
         "--warn-only", action="store_true",

@@ -43,19 +43,6 @@ AIG_LEAF_PASSES = (
     "retime",
 )
 
-#: Leaf passes that accept the fingerprint-invisible ``kernel=``
-#: option (:mod:`repro.aig.kernel` backend selection).
-KERNEL_PASSES = ("rewrite", "resub", "dc_rewrite")
-
-#: The kernel pipeline's wide-window pass specs: parameters sized so
-#: the truth-table work (not cut enumeration) dominates, which is the
-#: regime the bit-parallel backend targets.
-KERNEL_PIPELINE_SPECS = (
-    "resub{support_limit=16,max_divisors=24}",
-    "rewrite",
-    "dc_rewrite{support_limit=16}",
-)
-
 #: The full RTL-to-netlist flow covering the remaining registered
 #: passes (the stage drivers' retime/stateprop records land in the
 #: same context).
@@ -87,47 +74,6 @@ def build_table_aig(num_inputs: int = 8, width: int = 16, seed: int = 0):
     return cleaned
 
 
-def build_wide_window_aig(
-    num_inputs: int = 16, layers: int = 10, seed: int = 0
-):
-    """A layered XOR/MUX network whose nodes keep wide global supports.
-
-    Random AND graphs collapse to narrow true supports after
-    projection, which starves the windowed table passes; stacking
-    XOR/MUX layers over a fixed source row keeps most nodes dependent
-    on every primary input.  This is the workload where the
-    bit-parallel kernel backend's vectorization pays off, so it is
-    what the ``kernel`` pipeline (and the kernel speedup benchmark)
-    runs on.
-    """
-    from repro.aig import ops
-    from repro.aig.graph import AIG
-
-    rng = random.Random(seed)
-    aig = AIG()
-    row = [aig.add_pi(f"x{i}") for i in range(num_inputs)]
-    for layer in range(layers):
-        nxt = []
-        for i in range(len(row)):
-            a = row[i]
-            b = row[(i + 1 + layer) % len(row)]
-            c = row[(i + 5 + 3 * layer) % len(row)]
-            choice = rng.randint(0, 2)
-            if choice == 0:
-                nxt.append(
-                    ops.xor_word(aig, [a], [b])[0] ^ rng.randint(0, 1)
-                )
-            elif choice == 1:
-                nxt.append(ops.mux_word(aig, c, [a], [b])[0])
-            else:
-                nxt.append(aig.and_(a ^ 1, b))
-        row = nxt
-    for i, lit in enumerate(row):
-        aig.add_po(f"f{i}", lit)
-    cleaned, _ = aig.cleanup()
-    return cleaned
-
-
 def annotated_fsm_module():
     """A table FSM whose annotation exercises encode and stateprop."""
     from repro.rtl.builder import ModuleBuilder, cat
@@ -141,34 +87,10 @@ def annotated_fsm_module():
     return b.build()
 
 
-def _kernelize(spec: str, kernel: str | None) -> str:
-    """Splice ``kernel=<name>`` into a pass spec when the pass takes
-    it.  The option is fingerprint-invisible, so the kernelized and
-    plain pipelines render (and cache) identically."""
-    if kernel is None:
-        return spec
-    name = spec.split("{", 1)[0]
-    if name not in KERNEL_PASSES:
-        return spec
-    if "{" in spec:
-        return spec[:-1] + f",kernel={kernel}}}"
-    return spec + f"{{kernel={kernel}}}"
-
-
-def bench_pipelines(kernel: str | None = None) -> dict[str, PassManager]:
-    """The pipelines that together cover the pass registry.
-
-    ``kernel`` pins the truth-table backend of every pass that takes
-    one (``track record bench --kernel``); the default leaves the
-    usual ``REPRO_KERNEL``/auto resolution in force.
-    """
-    leaf = ",".join(_kernelize(name, kernel) for name in AIG_LEAF_PASSES)
-    wide = ",".join(
-        _kernelize(spec, kernel) for spec in KERNEL_PIPELINE_SPECS
-    )
+def bench_pipelines() -> dict[str, PassManager]:
+    """The pipelines that together cover the pass registry."""
     return {
-        "leaf": PassManager.parse(leaf),
-        "kernel": PassManager.parse(wide),
+        "leaf": PassManager.parse(",".join(AIG_LEAF_PASSES)),
         "optimize": PassManager.parse("optimize"),
         "full": PassManager.parse(FULL_FLOW_SPEC),
         "fsm_lower": PassManager.parse("fsm_encode{realize=case}"),
@@ -225,9 +147,7 @@ def frontend_inputs(seed: int = 0):
     return fsm, table, program, flexible, bindings
 
 
-def bench_result(
-    contexts, seed: int = 0, kernel: str | None = None
-) -> ExperimentResult:
+def bench_result(contexts, seed: int = 0) -> ExperimentResult:
     """Aggregate completed bench contexts into the stored result form.
 
     One assembly point for both entry points -- ``track record bench``
@@ -246,7 +166,6 @@ def bench_result(
         name: pm.spec() for name, pm in bench_pipelines().items()
     }
     result.meta["seed"] = seed
-    result.meta["kernel"] = kernel or "auto"
     slowest = max(
         result.pass_totals.values(), key=lambda t: t.wall_time_s
     )
@@ -257,18 +176,8 @@ def bench_result(
     return result
 
 
-def run_pass_bench(
-    seed: int = 0, kernel: str | None = None
-) -> ExperimentResult:
+def run_pass_bench(seed: int = 0) -> ExperimentResult:
     """Execute every registered pass once and aggregate its timings.
-
-    Args:
-        seed: workload seed (all inputs are deterministic in it).
-        kernel: truth-table backend pinned onto every kernel-aware
-            pass (``pure``/``numpy``/``auto``); ``None`` leaves the
-            usual resolution in force.  Byte-identical results across
-            backends mean two records differing only in ``kernel``
-            diff with zero structural deltas -- only wall times move.
 
     Returns:
         An :class:`ExperimentResult` named ``bench_passes`` whose
@@ -279,16 +188,14 @@ def run_pass_bench(
     """
     from repro.synth.dc_options import StateAnnotation
 
-    pipelines = bench_pipelines(kernel)
+    pipelines = bench_pipelines()
     table_aig = build_table_aig(seed=seed)
-    wide_aig = build_wide_window_aig(seed=seed)
     module = annotated_fsm_module()
     annotations = [StateAnnotation("state", (0, 1, 2))]
     fsm, table, program, flexible, bindings = frontend_inputs(seed)
 
     contexts = [
         pipelines["leaf"].compile(aig=table_aig),
-        pipelines["kernel"].compile(aig=wide_aig),
         pipelines["optimize"].compile(aig=table_aig),
         pipelines["full"].compile(module, annotations=annotations),
         pipelines["fsm_lower"].compile(ctrl=fsm),
@@ -297,12 +204,10 @@ def run_pass_bench(
         pipelines["useq_lower"].compile(ctrl=program),
         pipelines["bind"].compile(flexible, bindings=bindings),
     ]
-    return bench_result(contexts, seed, kernel)
+    return bench_result(contexts, seed)
 
 
-def store_bench_record(
-    contexts, store_dir, commit: str = "HEAD", seed=0, kernel=None
-):
+def store_bench_record(contexts, store_dir, commit: str = "HEAD", seed=0):
     """Persist bench contexts as this commit's ``bench_passes`` record.
 
     The record is shaped identically to what ``track record bench``
@@ -320,7 +225,7 @@ def store_bench_record(
     record = RunRecord(
         figure=BENCH_FIGURE,
         commit=resolve_ref(commit),
-        result=bench_result(contexts, seed, kernel),
+        result=bench_result(contexts, seed),
         library=DesignCompiler().library.canonical_hash(),
         created_at=now(),
     )

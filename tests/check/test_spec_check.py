@@ -64,6 +64,28 @@ def test_type_and_range_are_distinct_codes():
     assert range_diag.code == "CHK104"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "rewrite{k=1}",
+        "rewrite{k=7}",
+        "rewrite{max_cuts=0}",
+        "rewrite{max_cuts=-1}",
+        "dc_rewrite{k=1}",
+        "dc_rewrite{k=7}",
+        "dc_rewrite{max_cuts=0}",
+    ],
+)
+def test_cut_options_out_of_range_are_chk104(spec):
+    """Cut widths outside 2..6 and empty cut sets are range errors up
+    front, not a failure deep inside cut enumeration or a pass that
+    silently does nothing."""
+    (diag,) = check_spec(spec)
+    assert diag.code == "CHK104"
+    with pytest.raises(FlowError, match="CHK104"):
+        PassManager.parse(spec)
+
+
 def test_choice_violation_names_choices():
     (diag,) = check_spec("encode{style=grey}")
     assert diag.code == "CHK104"

@@ -1,21 +1,16 @@
 """Property: a resumed compile equals a from-scratch one everywhere.
 
-For every pipeline, every split point, and every kernel backend, a
-compile that resumes from a cached prefix (stage snapshot or a
-shorter pipeline's completed entry) must be byte-identical to the
-same pipeline run from scratch: canonical hashes, areas, and pass
-records -- including the progress/rollback flags -- with only wall
-times free to differ.  This is the correctness bar the whole
+For every pipeline and every split point, a compile that resumes
+from a cached prefix (stage snapshot or a shorter pipeline's
+completed entry) must be byte-identical to the same pipeline run from
+scratch: canonical hashes, areas, and pass records -- including the
+progress/rollback flags -- with only wall times free to differ.  This is the correctness bar the whole
 incremental-compilation layer rests on.
 """
 
-import os
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig.kernel import available_backends
 from repro.flow import CompileCache, PassManager, SnapshotPolicy
 from repro.track.bench import build_table_aig, frontend_inputs
 
@@ -60,43 +55,32 @@ def final_identity(ctx):
     )
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @settings(max_examples=12, deadline=None)
 @given(
     name=st.sampled_from(sorted(_BY_NAME)),
     split=st.integers(min_value=1, max_value=10),
 )
-def test_resume_equals_from_scratch(tmp_path_factory, backend, name, split):
+def test_resume_equals_from_scratch(tmp_path_factory, name, split):
     spec, make_inputs = _BY_NAME[name]
     pipeline = PassManager.parse(spec)
     split = 1 + split % (len(pipeline.passes) - 1)  # a *proper* prefix
     prefix = PassManager.parse(pipeline.prefix_specs()[split - 1])
     inputs = make_inputs()
 
-    previous = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = backend
-    try:
-        scratch = PassManager.parse(spec).compile(**make_inputs())
+    scratch = PassManager.parse(spec).compile(**make_inputs())
 
-        tmp = tmp_path_factory.mktemp(f"resume-{name}-{split}-{backend}")
-        cache = CompileCache(tmp)
-        # Seed the cache by genuinely running the prefix pipeline with
-        # snapshots on -- it leaves both its stage snapshots and its
-        # completed entry behind; whichever the probe finds first must
-        # produce the same result.
-        prefix.compile(
-            **inputs,
-            cache=cache,
-            snapshots=SnapshotPolicy(min_pass_seconds=0.0),
-        )
-        resumed = PassManager.parse(spec).compile(
-            **make_inputs(), cache=cache
-        )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = previous
+    tmp = tmp_path_factory.mktemp(f"resume-{name}-{split}")
+    cache = CompileCache(tmp)
+    # Seed the cache by genuinely running the prefix pipeline with
+    # snapshots on -- it leaves both its stage snapshots and its
+    # completed entry behind; whichever the probe finds first must
+    # produce the same result.
+    prefix.compile(
+        **inputs,
+        cache=cache,
+        snapshots=SnapshotPolicy(min_pass_seconds=0.0),
+    )
+    resumed = PassManager.parse(spec).compile(**make_inputs(), cache=cache)
 
     assert resumed.meta.get("passes_skipped", 0) >= split
     assert record_signature(resumed) == record_signature(scratch)
