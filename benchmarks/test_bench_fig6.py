@@ -9,9 +9,26 @@ import pytest
 
 from repro.expts.fig6_fsm import run_fig6
 
+#: The small run's area table as rendered, trailing blanks stripped.
+#: The flow is deterministic: a change that moves any entry must say why.
+GOLDEN_AREA_TABLE = """\
+m  n  s  seed  case   table  table+annot
+-  -  -  ----  -----  -----  -----------
+2  2  2  0     45.3   45.3   45.3
+2  2  3  0     120.8  110.8  116.0
+2  2  8  0     270.1  238.7  244.5
+2  8  2  0     72.5   69.7   69.7
+2  8  3  0     155.0  161.4  177.2
+2  8  8  0     407.5  396.5  400.7
+"""
+
 
 def test_bench_fig6_small(once):
     result = once(run_fig6, scale="small")
+    table = result.tables["Area per FSM (um^2)"]
+    assert [line.rstrip() for line in table.splitlines()] == (
+        GOLDEN_AREA_TABLE.splitlines()
+    )
     regular = result.ratio_stats("regular")
     annotated = result.ratio_stats("state annotated")
     assert annotated.log_spread <= regular.log_spread + 0.05

@@ -5,6 +5,16 @@ inputs; every k-feasible cut with its local truth table is the unit of
 work for both technology mapping and rewriting.  This is the standard
 priority-cuts algorithm: merge fanin cut sets, discard cuts wider than
 ``k``, keep a bounded number per node.
+
+As in ABC's priority-cut mapper (Mishchenko et al., ICCAD 2007), each
+merge first checks a 64-bit leaf signature, the OR of
+``1 << (leaf & 63)`` over the leaves: its popcount is a lower bound on
+the size of the leaf union, so a pair it puts over ``k`` is dropped
+before any set is built.  Tables are computed only for the cuts that
+survive the dominance filter and the ``max_cuts`` bound, each from the
+first fanin pair that produced its leaves: two pairs can disagree on
+assignments the circuit cannot reach, when one leaf lies in another's
+cone.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from functools import lru_cache
 
 from repro.aig.graph import AIG, lit_node, lit_sign
 from repro.aig.tt_util import expand_table
-from repro.tables.bits import all_ones, var_mask
+from repro.tables.bits import all_ones
 
 #: The cut widths :class:`CutSet` accepts.
 MIN_CUT_SIZE = 2
@@ -51,6 +61,8 @@ class CutSet:
             raise ValueError(
                 f"cut size must be between {MIN_CUT_SIZE} and {MAX_CUT_SIZE}"
             )
+        if max_cuts < 1:
+            raise ValueError(f"max_cuts must be >= 1, got {max_cuts}")
         self.aig = aig
         self.k = k
         self.max_cuts = max_cuts
@@ -67,27 +79,48 @@ class CutSet:
 
     def _node_cuts(self, node: int) -> list[Cut]:
         aig = self.aig
+        k = self.k
         f0, f1 = aig.fanins(node)
         cuts0 = self.cuts[lit_node(f0)]
         cuts1 = self.cuts[lit_node(f1)]
-        merged: dict[tuple[int, ...], Cut] = {}
+        sigs1 = [_signature(cut1.leaves) for cut1 in cuts1]
+        # Each feasible leaf set with its signature and the first fanin
+        # pair that produced it, whose tables give the cut's table.
+        merged: dict[tuple[int, ...], tuple[int, Cut, Cut]] = {}
         for cut0 in cuts0:
-            for cut1 in cuts1:
-                leaves = tuple(sorted(set(cut0.leaves) | set(cut1.leaves)))
-                if len(leaves) > self.k:
+            sig0 = _signature(cut0.leaves)
+            leaf_set0 = set(cut0.leaves)
+            for cut1, sig1 in zip(cuts1, sigs1):
+                sig = sig0 | sig1
+                if sig.bit_count() > k:
                     continue
-                if leaves in merged:
+                leaves = tuple(sorted(leaf_set0.union(cut1.leaves)))
+                if len(leaves) > k or leaves in merged:
                     continue
-                table0 = expand_cut(cut0.table, cut0.leaves, leaves)
-                table1 = expand_cut(cut1.table, cut1.leaves, leaves)
-                universe = all_ones(len(leaves))
-                if lit_sign(f0):
-                    table0 ^= universe
-                if lit_sign(f1):
-                    table1 ^= universe
-                merged[leaves] = Cut(leaves, table0 & table1)
-        cuts = sorted(merged.values(), key=lambda c: (c.size, c.leaves))
-        cuts = _drop_dominated(cuts)[: self.max_cuts]
+                merged[leaves] = (sig, cut0, cut1)
+        # Smallest first, so a cut can only be dominated by one already
+        # kept; a superset's signature covers the subset's.
+        kept: list[tuple[tuple[int, ...], int]] = []
+        for leaves in sorted(merged, key=lambda leaves: (len(leaves), leaves)):
+            sig = merged[leaves][0]
+            for other, other_sig in kept:
+                if not other_sig & ~sig and set(other).issubset(leaves):
+                    break
+            else:
+                kept.append((leaves, sig))
+                if len(kept) == self.max_cuts:
+                    break
+        cuts = []
+        for leaves, _ in kept:
+            _, cut0, cut1 = merged[leaves]
+            table0 = expand_cut(cut0.table, cut0.leaves, leaves)
+            table1 = expand_cut(cut1.table, cut1.leaves, leaves)
+            universe = all_ones(len(leaves))
+            if lit_sign(f0):
+                table0 ^= universe
+            if lit_sign(f1):
+                table1 ^= universe
+            cuts.append(Cut(leaves, table0 & table1))
         cuts.append(Cut((node,), 0b10))  # trivial cut, always last
         return cuts
 
@@ -117,17 +150,10 @@ def _expand_cut(table: int, positions: tuple[int, ...], width: int) -> int:
     return expand_table(table, positions, tuple(range(width)))
 
 
-def _drop_dominated(cuts: list[Cut]) -> list[Cut]:
-    """Remove cuts whose leaves are a superset of another cut's."""
-    kept: list[Cut] = []
-    for cut in cuts:
-        leaf_set = set(cut.leaves)
-        if any(set(other.leaves) <= leaf_set for other in kept):
-            continue
-        kept.append(cut)
-    return kept
-
-
-def cut_table_var(index: int, num_leaves: int) -> int:
-    """Truth table of leaf ``index`` as a cut-local variable."""
-    return var_mask(index, num_leaves)
+def _signature(leaves: tuple[int, ...]) -> int:
+    """64-bit leaf signature: the OR of two cuts' signatures has at
+    most as many bits set as their leaf union has leaves."""
+    sig = 0
+    for leaf in leaves:
+        sig |= 1 << (leaf & 63)
+    return sig

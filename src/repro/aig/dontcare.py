@@ -166,7 +166,9 @@ def dc_rewrite(
                 continue  # no freedom here: the exact pass's job
             on = cut.table & ~dc
             leaf_lits = [translate(leaf << 1) for leaf in cut.leaves]
-            cost, plan = plan_cover(new, on, dc, cut.size, leaf_lits)
+            cost, plan = plan_cover(
+                new, on, dc, cut.size, leaf_lits, limit=budget
+            )
             if cost < budget:
                 best_lit = build_plan(
                     new, plan, on, dc, cut.size, leaf_lits

@@ -195,7 +195,9 @@ def _try_resub(
     leaf_lits = [
         translate(old << 1) for old, _ in chosen
     ]
-    cost, plan = plan_cover(new, on, dc, len(chosen), leaf_lits)
+    cost, plan = plan_cover(
+        new, on, dc, len(chosen), leaf_lits, limit=budget
+    )
     if cost >= budget:
         return None
     return build_plan(new, plan, on, dc, len(chosen), leaf_lits)

@@ -17,11 +17,14 @@ SAT-based equivalence on randomized graphs.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.aig.cuts import CutSet
 from repro.aig.graph import AIG, lit_compl, lit_node, lit_sign
 from repro.aig.tt_util import expand_table, project_table
 from repro.tables.bits import all_ones, tt_support
-from repro.tables.isop import isop
+from repro.tables.cube import Cube
+from repro.tables.isop import MEMO_SIZE, isop
 
 _SWEEP_SUPPORT_LIMIT = 12
 
@@ -155,7 +158,9 @@ def rewrite(aig: AIG, k: int = 4, max_cuts: int = 6) -> AIG:
             if cut.size < 2 or cut.leaves == (node,):
                 continue
             leaf_lits = [translate(leaf << 1) for leaf in cut.leaves]
-            cost, plan = plan_cover(new, cut.table, 0, cut.size, leaf_lits)
+            cost, plan = plan_cover(
+                new, cut.table, 0, cut.size, leaf_lits, limit=budget
+            )
             if cost < budget:
                 candidate = build_plan(new, plan, cut.table, 0, cut.size, leaf_lits)
                 best_lit = candidate
@@ -250,17 +255,37 @@ def mffc_sizes(aig: AIG) -> list[int]:
     return sizes
 
 
+class _OverBudget(Exception):
+    """A dry run reached its limit of fresh nodes."""
+
+
 def plan_cover(
-    aig: AIG, on: int, dc: int, num_vars: int, leaf_lits: list[int]
+    aig: AIG,
+    on: int,
+    dc: int,
+    num_vars: int,
+    leaf_lits: list[int],
+    limit: int | None = None,
 ):
     """Dry-run ISOP construction of any function ``g`` with
-    ``on <= g <= on | dc``; returns (new-node count, cube plan)."""
+    ``on <= g <= on | dc``; returns (new-node count, plan), the plan
+    being each cube's ``(variable, negate)`` literal pairs.
+
+    With ``limit``, the dry run stops once it counts ``limit`` fresh
+    nodes and returns a cost of at least ``limit`` with no plan.
+    Callers keep a plan only when its cost is below their budget, so
+    they pass that budget and skip the rest of a losing dry run.
+    """
     universe = all_ones(num_vars)
     if on == 0 or (on | dc) == universe:
         return 0, []
     cubes = isop(on, dc, num_vars)
+    if limit is not None and limit <= 0:
+        return 0, None
+    cover = _cover_literals(tuple(cubes))
     overlay: dict[tuple[int, int], int] = {}
-    next_fake = [aig.num_nodes]
+    first_fake = aig.num_nodes
+    strash = aig._strash
 
     def dry_and(a: int, b: int) -> int:
         if a == 0 or b == 0 or a == lit_compl(b):
@@ -271,22 +296,26 @@ def plan_cover(
             return a
         if a > b:
             a, b = b, a
-        existing = aig._strash.get((a, b))
+        existing = strash.get((a, b))
         if existing is not None:
             return existing << 1
         fake = overlay.get((a, b))
         if fake is None:
-            fake = next_fake[0] << 1
-            next_fake[0] += 1
+            fake = (first_fake + len(overlay)) << 1
             overlay[(a, b)] = fake
+            if len(overlay) == limit:
+                raise _OverBudget
         return fake
 
-    _build_cover_shape(dry_and, cubes, leaf_lits)
-    return len(overlay), cubes
+    try:
+        _build_cover_shape(dry_and, cover, leaf_lits)
+    except _OverBudget:
+        return limit, None
+    return len(overlay), cover
 
 
 def build_plan(
-    aig: AIG, cubes, on: int, dc: int, num_vars: int, leaf_lits: list[int]
+    aig: AIG, cover, on: int, dc: int, num_vars: int, leaf_lits: list[int]
 ) -> int:
     """Materialise a :func:`plan_cover` plan in ``aig``; the dry run
     and this build share one shape, so the cost estimate is exact."""
@@ -294,19 +323,28 @@ def build_plan(
         return 0
     if (on | dc) == all_ones(num_vars):
         return 1
-    return _build_cover_shape(aig.and_, cubes, leaf_lits)
+    return _build_cover_shape(aig.and_, cover, leaf_lits)
 
 
-def _build_cover_shape(and_fn, cubes, leaf_lits: list[int]) -> int:
+# One entry per distinct cover, so the ISOP memo's bound fits here too.
+@lru_cache(maxsize=MEMO_SIZE)
+def _cover_literals(
+    cubes: tuple[Cube, ...]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each cube's literals as ``(variable, negate)`` pairs: the leaf
+    literal of ``variable`` XOR ``negate`` is the AND input."""
+    return tuple(
+        tuple((var, 0 if polarity else 1) for var, polarity in cube.literals())
+        for cube in cubes
+    )
+
+
+def _build_cover_shape(and_fn, cover, leaf_lits: list[int]) -> int:
     """The exact AND/OR shape shared by the dry run and the real build."""
     terms = []
-    for cube in cubes:
-        lits = sorted(
-            leaf_lits[var] if polarity else lit_compl(leaf_lits[var])
-            for var, polarity in cube.literals()
-        )
+    for cube in cover:
         acc = 1
-        for lit in lits:
+        for lit in sorted(leaf_lits[var] ^ negate for var, negate in cube):
             acc = and_fn(acc, lit)
         terms.append(acc)
     result = 0

@@ -308,7 +308,9 @@ def _check_cut_options(k: int, max_cuts: int) -> None:
 
 @register_pass("rewrite", PassSchema(stage="aig", options=_cut_options()))
 class RewritePass(Pass):
-    """Cut-based rewriting against precomputed NPN structures."""
+    """Cut-based rewriting: each node's cut functions are re-expressed
+    through ISOP covers, adopted when they add fewer nodes than the
+    node's MFFC holds."""
 
     def __init__(self, k: int = 4, max_cuts: int = 6) -> None:
         super().__init__()

@@ -8,7 +8,9 @@ cell is precomputed, so NAND/NOR/AOI forms match directly).
 
 Covering uses the classic area-flow heuristic: a leaf's cost is
 discounted by its fanout, approximating the sharing the final cover
-will enjoy.
+will enjoy.  The dynamic program runs over flat lists indexed by the
+literal ``2 * node + phase``, and a literal's flow is computed once,
+when its cost is settled.
 """
 
 from __future__ import annotations
@@ -26,19 +28,23 @@ from repro.tech.netlist import CONST0_NET, CONST1_NET, MappedNetlist
 _K = 4
 _MAX_CUTS = 6
 
+#: Bound on memoized support reductions of cut tables, keyed on
+#: (table, size): a Fig. 9 run asks for 724 distinct keys and the
+#: paper-scale technology sweep for 1,510, so neither evicts.
+REDUCE_MEMO_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class Match:
     """A cell realization of a cut function.
 
-    ``leaf_order[i]`` gives, for cell input ``i``, the index of the cut
-    leaf feeding it; ``input_phases`` bit ``i`` says that input must be
-    the *complement* of that leaf.
+    ``inputs[i]`` is ``(leaf index, phase)`` for cell input ``i``: the
+    index of the cut leaf feeding it, and 1 when that input must be the
+    *complement* of that leaf.
     """
 
     cell: Cell
-    leaf_order: tuple[int, ...]
-    input_phases: int
+    inputs: tuple[tuple[int, int], ...]
 
 
 class _MatchTable:
@@ -57,8 +63,15 @@ class _MatchTable:
             for phases in range(1 << arity):
                 table = _transform(cell.table, perm, phases, arity)
                 bucket = self.by_arity[arity].setdefault(table, [])
-                match = Match(cell, perm, phases)
-                # Keep only the cheapest cell per exact table.
+                match = Match(
+                    cell,
+                    tuple(
+                        (leaf, (phases >> cell_input) & 1)
+                        for cell_input, leaf in enumerate(perm)
+                    ),
+                )
+                # Keep every match; a strictly cheaper cell goes to the
+                # front, so the first match is a cheapest one.
                 if not bucket or cell.area < bucket[0].cell.area:
                     bucket.insert(0, match)
                 else:
@@ -120,64 +133,52 @@ def map_aig(aig: AIG, library: Library | None = None) -> MappedNetlist:
     inv_area = library.inverter.area
 
     # ------------------------------------------------------------------
-    # Phase 1: dynamic programming over (node, phase).
+    # Phase 1: dynamic programming over literals 2 * node + phase.
     # ------------------------------------------------------------------
     INF = float("inf")
-    cost: dict[tuple[int, int], float] = {}
-    choice: dict[tuple[int, int], tuple] = {}
-
+    # Area flow and choice per literal.  Sources and the constant node
+    # are settled up front (a complemented source costs an inverter),
+    # AND nodes in topo order.
+    flow = [0.0] * (2 * aig.num_nodes)
+    choice: list = [None] * (2 * aig.num_nodes)
     for source in aig.combinational_inputs():
-        cost[(source, 0)] = 0.0
-        cost[(source, 1)] = inv_area
-    cost[(0, 0)] = 0.0
-    cost[(0, 1)] = 0.0
-
-    def flow(node: int, phase: int) -> float:
-        return cost[(node, phase)] / max(fanout[node], 1)
+        flow[2 * source + 1] = inv_area / max(fanout[source], 1)
 
     for node in aig.topo_order():
+        # Each cut's table over its true support, once for both phases;
+        # the trivial cut (always last) is skipped.
+        reduced_cuts = []
+        for cut in cuts[node][:-1]:
+            support, reduced = _reduce_support(cut.table, cut.size)
+            leaf_lits = tuple(2 * cut.leaves[i] for i in support)
+            reduced_cuts.append((leaf_lits, reduced, all_ones(len(support))))
         for phase in (0, 1):
             best = INF
             best_choice = None
-            for cut in cuts[node]:
-                if cut.leaves == (node,):
-                    continue
-                table = cut.table if phase == 0 else cut.table ^ all_ones(cut.size)
-                support = tt_support(table, cut.size)
-                if len(support) < cut.size:
-                    reduced = project_table(table, support, cut.size)
-                    leaves = tuple(cut.leaves[i] for i in support)
-                else:
-                    reduced = table
-                    leaves = cut.leaves
-                if not leaves:
+            for leaf_lits, reduced, universe in reduced_cuts:
+                table = reduced ^ universe if phase else reduced
+                if not leaf_lits:
                     # Constant under folding; realized by tie cells.
                     best = 0.0
-                    best_choice = ("const", reduced & 1)
+                    best_choice = ("const", table & 1)
                     continue
-                for match in matches.lookup(reduced, len(leaves)):
+                for match in matches.lookup(table, len(leaf_lits)):
                     total = match.cell.area
-                    feasible = True
-                    for cell_input, leaf_index in enumerate(match.leaf_order):
-                        leaf = leaves[leaf_index]
-                        leaf_phase = (match.input_phases >> cell_input) & 1
-                        leaf_cost = cost.get((leaf, leaf_phase))
-                        if leaf_cost is None:
-                            feasible = False
-                            break
-                        total += leaf_cost / max(fanout[leaf], 1)
-                    if feasible and total < best:
+                    for leaf_index, leaf_phase in match.inputs:
+                        total += flow[leaf_lits[leaf_index] + leaf_phase]
+                    if total < best:
                         best = total
-                        best_choice = ("cell", match, leaves)
-            # Fallback: the other phase plus an inverter.
-            other = cost.get((node, phase ^ 1))
-            if other is not None and other + inv_area < best:
-                best = other + inv_area
+                        best_choice = ("cell", match, leaf_lits)
+            # Fallback: the other phase plus an inverter.  Phase 0 is
+            # settled first, so only phase 1 can fall back.
+            if phase and cost0 + inv_area < best:
+                best = cost0 + inv_area
                 best_choice = ("invert",)
             if best_choice is None:
                 raise AssertionError(f"no match found for node {node}")
-            cost[(node, phase)] = best
-            choice[(node, phase)] = best_choice
+            cost0 = best
+            flow[2 * node + phase] = best / max(fanout[node], 1)
+            choice[2 * node + phase] = best_choice
 
     # ------------------------------------------------------------------
     # Phase 2: extract the cover from the outputs down.
@@ -189,39 +190,37 @@ def map_aig(aig: AIG, library: Library | None = None) -> MappedNetlist:
     for latch in aig.latches:
         q_nets[latch.node] = netlist.new_net()
 
-    realized: dict[tuple[int, int], int] = {(0, 0): CONST0_NET, (0, 1): CONST1_NET}
+    realized: dict[int, int] = {0: CONST0_NET, 1: CONST1_NET}
     for name, node in zip(aig.pi_names, aig.pis):
-        realized[(node, 0)] = netlist.pi_nets[name]
+        realized[2 * node] = netlist.pi_nets[name]
     for latch in aig.latches:
-        realized[(latch.node, 0)] = q_nets[latch.node]
+        realized[2 * latch.node] = q_nets[latch.node]
 
-    def realize(node: int, phase: int) -> int:
-        key = (node, phase)
-        net = realized.get(key)
+    def realize(lit: int) -> int:
+        net = realized.get(lit)
         if net is not None:
             return net
-        if not aig.is_and(node):
+        if not aig.is_and(lit_node(lit)):
             # Source needed in complemented phase: one shared inverter.
-            base = realize(node, 0)
+            base = realize(lit ^ 1)
             net = netlist.add_instance("INV", [base])
-            realized[key] = net
+            realized[lit] = net
             return net
-        picked = choice[key]
+        picked = choice[lit]
         if picked[0] == "invert":
-            base = realize(node, phase ^ 1)
+            base = realize(lit ^ 1)
             net = netlist.add_instance("INV", [base])
         elif picked[0] == "const":
             netlist.num_ties += 1
             net = CONST1_NET if picked[1] else CONST0_NET
         else:
-            _, match, leaves = picked
-            input_nets = []
-            for cell_input, leaf_index in enumerate(match.leaf_order):
-                leaf = leaves[leaf_index]
-                leaf_phase = (match.input_phases >> cell_input) & 1
-                input_nets.append(realize(leaf, leaf_phase))
+            _, match, leaf_lits = picked
+            input_nets = [
+                realize(leaf_lits[leaf_index] + leaf_phase)
+                for leaf_index, leaf_phase in match.inputs
+            ]
             net = netlist.add_instance(match.cell.name, input_nets)
-        realized[key] = net
+        realized[lit] = net
         return net
 
     for name, lit in aig.pos:
@@ -230,18 +229,27 @@ def map_aig(aig: AIG, library: Library | None = None) -> MappedNetlist:
             netlist.num_ties += 1
             netlist.po_nets[name] = CONST1_NET if phase else CONST0_NET
         else:
-            netlist.po_nets[name] = realize(node, phase)
+            netlist.po_nets[name] = realize(lit)
     for latch in aig.latches:
         node, phase = lit_node(latch.next_lit), lit_sign(latch.next_lit)
         if node == 0:
             netlist.num_ties += 1
             d_net = CONST1_NET if phase else CONST0_NET
         else:
-            d_net = realize(node, phase)
+            d_net = realize(latch.next_lit)
         netlist.flops.append(
             _make_flop(latch, library, d_net, q_nets[latch.node])
         )
     return netlist
+
+
+@lru_cache(maxsize=REDUCE_MEMO_SIZE)
+def _reduce_support(table: int, size: int) -> tuple[tuple[int, ...], int]:
+    """The positions ``table`` depends on, and the table over them."""
+    support = tt_support(table, size)
+    if len(support) < size:
+        return support, project_table(table, support, size)
+    return support, table
 
 
 def _make_flop(latch, library: Library, d_net: int, q_net: int):

@@ -1,9 +1,14 @@
-"""Cut expansion: the memoized merge primitive against its definition."""
+"""Cut enumeration and expansion against their straightforward
+definitions."""
 
 import itertools
 import random
 
-from repro.aig.cuts import expand_cut
+import pytest
+
+from repro.aig.cuts import Cut, CutSet, enumerate_cuts, expand_cut
+from repro.aig.graph import AIG, lit_node, lit_sign
+from repro.aig.rewrite import rewrite
 from repro.tables.bits import all_ones
 
 
@@ -54,3 +59,126 @@ def test_expand_cut_matches_minterm_definition_random():
         assert expand_cut(
             table, from_leaves, to_leaves
         ) == minterm_expand_cut(table, from_leaves, to_leaves)
+
+
+def pair_table(f0, f1, cut0, cut1, leaves):
+    """The AND of the fanin cuts' tables over ``leaves``."""
+    universe = all_ones(len(leaves))
+    table0 = minterm_expand_cut(cut0.table, cut0.leaves, leaves)
+    table1 = minterm_expand_cut(cut1.table, cut1.leaves, leaves)
+    if lit_sign(f0):
+        table0 ^= universe
+    if lit_sign(f1):
+        table1 ^= universe
+    return table0 & table1
+
+
+def reference_cuts(aig, k, max_cuts):
+    """The straightforward enumerator: merge every fanin pair, keep the
+    first pair's table for each new leaf set, sort by (size, leaves),
+    drop cuts that contain a kept cut's leaves, keep the first
+    ``max_cuts`` and append the trivial cut."""
+    cuts = {source: [Cut((source,), 0b10)] for source in aig.combinational_inputs()}
+    cuts[0] = [Cut((), 0)]
+    for node in aig.topo_order():
+        f0, f1 = aig.fanins(node)
+        merged = {}
+        for cut0 in cuts[lit_node(f0)]:
+            for cut1 in cuts[lit_node(f1)]:
+                leaves = tuple(sorted(set(cut0.leaves) | set(cut1.leaves)))
+                if len(leaves) > k or leaves in merged:
+                    continue
+                merged[leaves] = Cut(
+                    leaves, pair_table(f0, f1, cut0, cut1, leaves)
+                )
+        kept = []
+        for cut in sorted(merged.values(), key=lambda c: (c.size, c.leaves)):
+            if any(set(other.leaves) <= set(cut.leaves) for other in kept):
+                continue
+            kept.append(cut)
+        cuts[node] = kept[:max_cuts] + [Cut((node,), 0b10)]
+    return cuts
+
+
+def random_cut_aig(rng, num_pis=6, num_latches=2, num_ands=50):
+    """A random AIG with complemented fanins, latches, and some AND
+    nodes with a constant fanin."""
+    aig = AIG()
+    pool = [aig.add_pi(f"x{index}") for index in range(num_pis)]
+    latches = [aig.add_latch(f"q{index}") for index in range(num_latches)]
+    pool += latches
+    for _ in range(num_ands):
+        a = rng.choice(pool) ^ rng.randint(0, 1)
+        if rng.random() < 0.1:
+            # and_ folds constants away, so add such a node raw.
+            node = aig._new_node(rng.randint(0, 1), a)
+            pool.append(node << 1)
+            continue
+        b = rng.choice(pool) ^ rng.randint(0, 1)
+        lit = aig.and_(a, b)
+        if lit > 1:
+            pool.append(lit)
+    for latch in latches:
+        aig.set_latch_next(latch, rng.choice(pool) ^ rng.randint(0, 1))
+    for index in range(4):
+        aig.add_po(f"f{index}", rng.choice(pool[-20:]) ^ rng.randint(0, 1))
+    return aig
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_cut_set_matches_reference_enumerator(k):
+    """Same leaves, tables and order at every node, for every cut size
+    and a spread of cut limits."""
+    rng = random.Random(2007 + k)
+    for _ in range(6):
+        aig = random_cut_aig(rng)
+        for max_cuts in (1, 2, 6, 8):
+            want = reference_cuts(aig, k, max_cuts)
+            assert CutSet(aig, k=k, max_cuts=max_cuts).cuts == want
+
+
+#: Fanin literals of eight AND nodes over three inputs (nodes 1-3).
+#: Node 4 is ``1 & x2``: it duplicates x2, which and_ would fold away.
+#: Some leaf sets of the last node then hold a node and part of its own
+#: cone, and the fanin pairs producing them disagree on assignments the
+#: circuit cannot reach.
+PAIR_DEPENDENT_ANDS = [
+    (1, 6), (3, 8), (4, 10), (7, 13), (10, 15), (10, 17), (14, 18), (17, 21)
+]
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_cut_table_comes_from_the_first_fanin_pair(k):
+    aig = AIG()
+    for index in range(3):
+        aig.add_pi(f"x{index}")
+    for fanin0, fanin1 in PAIR_DEPENDENT_ANDS:
+        aig._new_node(fanin0, fanin1)
+    root = aig.num_nodes - 1
+    aig.add_po("f", root << 1)
+    want = reference_cuts(aig, k, 8)
+    # The premise: some kept cut's leaves come from two fanin pairs
+    # with different tables.
+    f0, f1 = aig.fanins(root)
+    tables = {}
+    for cut0 in want[lit_node(f0)]:
+        for cut1 in want[lit_node(f1)]:
+            leaves = tuple(sorted(set(cut0.leaves) | set(cut1.leaves)))
+            tables.setdefault(leaves, set()).add(
+                pair_table(f0, f1, cut0, cut1, leaves)
+            )
+    assert any(len(tables[cut.leaves]) > 1 for cut in want[root][:-1])
+    assert CutSet(aig, k=k, max_cuts=8).cuts == want
+
+
+@pytest.mark.parametrize("max_cuts", [0, -1])
+def test_cut_set_rejects_max_cuts_below_one(max_cuts):
+    aig = AIG()
+    xs = [aig.add_pi(f"x{index}") for index in range(4)]
+    aig.add_po("f", aig.and_(aig.and_(xs[0], xs[1]), aig.and_(xs[2], xs[3])))
+    with pytest.raises(ValueError, match="max_cuts must be >= 1"):
+        CutSet(aig, k=4, max_cuts=max_cuts)
+    with pytest.raises(ValueError, match="max_cuts must be >= 1"):
+        enumerate_cuts(aig, max_cuts=max_cuts)
+    with pytest.raises(ValueError, match="max_cuts must be >= 1"):
+        rewrite(aig, max_cuts=max_cuts)
