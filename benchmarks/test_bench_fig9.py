@@ -10,6 +10,7 @@ that moves any of them must say why.
 
 import pytest
 
+from repro.expts import fig9_pctrl
 from repro.expts.fig9_pctrl import run_fig9
 
 #: (config, flow) -> (comb, seq, total) area in um^2, as rendered.
@@ -22,9 +23,26 @@ GOLDEN_AREAS = {
     ("uncached", "manual"): ("4499", "6609", "11107"),
 }
 
+#: config -> the Manual job's state folding: (constants, merges,
+#: candidates tried, per-round (constants, merges)), and the SAT
+#: queries its candidates need (asked plus skipped).
+GOLDEN_FOLDS = {
+    "cached": ((6, 39, 555, [(6, 39)]), 630),
+    "uncached": ((210, 339, 629, [(210, 339)]), 662),
+}
+
 
 @pytest.mark.slow
-def test_bench_fig9_small(once):
+def test_bench_fig9_small(once, monkeypatch):
+    compiled = {}
+
+    def compile_many(*args, **kwargs):
+        contexts = original(*args, **kwargs)
+        compiled.update(contexts)
+        return contexts
+
+    original = fig9_pctrl.compile_many
+    monkeypatch.setattr(fig9_pctrl, "compile_many", compile_many)
     result = once(run_fig9, scale="small")
     text = result.to_markdown()
     assert "cached" in text and "uncached" in text
@@ -36,6 +54,19 @@ def test_bench_fig9_small(once):
         config, flow, comb, seq, total, _power = line.split()
         rendered[(config, flow)] = (comb, seq, total)
     assert rendered == GOLDEN_AREAS
+    folds = {}
+    for config in GOLDEN_FOLDS:
+        stats = compiled[("manual", config)].fold_stats
+        folds[config] = (
+            (
+                stats.constants_proven,
+                stats.merges_proven,
+                stats.candidates_tried,
+                stats.per_round,
+            ),
+            stats.sat_calls + stats.sat_skipped,
+        )
+    assert folds == GOLDEN_FOLDS
     areas = {
         key: tuple(float(value) for value in row)
         for key, row in rendered.items()

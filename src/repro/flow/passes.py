@@ -621,10 +621,11 @@ class FoldStatesPass(Pass):
         ctx.aig, ctx.fold_stats = fold_states(
             ctx.aig, buses, rounds=self.rounds, rng=random.Random(ctx.seed)
         )
+        stats = ctx.fold_stats
         self.note(
-            f"stateprop: {ctx.fold_stats.constants_proven} constants, "
-            f"{ctx.fold_stats.merges_proven} merges over "
-            f"{ctx.fold_stats.rounds} rounds"
+            f"stateprop: {stats.constants_proven} constants, "
+            f"{stats.merges_proven} merges over {stats.rounds} rounds "
+            f"({stats.sat_calls} SAT calls, {stats.sat_skipped} skipped)"
         )
         ctx.mark_progress()
 

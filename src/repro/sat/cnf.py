@@ -15,6 +15,15 @@ from repro.aig.graph import AIG, lit_node, lit_sign
 from repro.sat.solver import Solver
 
 
+def input_names(aig: AIG) -> dict[int, str]:
+    """The shared SAT input name of every PI and latch-output node: a
+    PI's own name, ``latch:<name>`` for a latch output."""
+    names = dict(zip(aig.pis, aig.pi_names))
+    for latch in aig.latches:
+        names[latch.node] = f"latch:{latch.name}"
+    return names
+
+
 class CnfBuilder:
     """Encode AIG cones into a SAT solver."""
 
@@ -22,6 +31,11 @@ class CnfBuilder:
         self.solver = solver or Solver()
         self._input_vars: dict[str, int] = {}
         self._node_vars: dict[tuple[int, int], int] = {}
+        #: ``id(aig) -> (aig, input_names(aig))`` for every graph
+        #: encoded so far.  Holding the graph keeps its ``id()`` from
+        #: passing to a later graph while ``_node_vars`` still has keys
+        #: under it.
+        self._graphs: dict[int, tuple[AIG, dict[int, str]]] = {}
 
     def input_var(self, name: str) -> int:
         """SAT variable of the named input (shared across AIGs)."""
@@ -56,14 +70,17 @@ class CnfBuilder:
             self.solver.add_clause([-var, a])
             self.solver.add_clause([-var, b])
             self.solver.add_clause([var, -a, -b])
-        elif aig.is_latch_output(node):
-            latch = aig.latch_for_node(node)
-            var = self.input_var(f"latch:{latch.name}")
         else:
-            position = aig.pis.index(node)
-            var = self.input_var(aig.pi_names[position])
+            var = self.input_var(self._input_name(aig, node))
         self._node_vars[key] = var
         return var
+
+    def _input_name(self, aig: AIG, node: int) -> str:
+        entry = self._graphs.get(id(aig))
+        if entry is None or node not in entry[1]:
+            # First sight of the graph, or an input added since.
+            entry = self._graphs[id(aig)] = (aig, input_names(aig))
+        return entry[1][node]
 
     def _constant_false_var(self) -> int:
         var = self._input_vars.get("__const0__")

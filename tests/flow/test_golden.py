@@ -84,7 +84,8 @@ def test_quickstart_direct_log_matches_seed_flow_exactly():
         "elaborate: AIG: pi=1 po=2 latch=2 and=15 depth=8",
         "optimize[0]: 15 -> 4 ands, depth 3",
         "optimize[1]: 4 -> 4 ands, depth 3",
-        "stateprop: 0 constants, 0 merges over 0 rounds",
+        "stateprop: 0 constants, 0 merges over 0 rounds "
+        "(0 SAT calls, 0 skipped)",
         "optimize[0]: 4 -> 4 ands, depth 3",
         "map: netlist: 6 cells, 2 flops, area 49.8 um^2 "
         "(comb 15.2 / seq 34.6)",

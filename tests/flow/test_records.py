@@ -14,7 +14,8 @@ from repro.rtl.builder import ModuleBuilder, mux
 from repro.synth.compiler import DesignCompiler
 from repro.synth.dc_options import CompileOptions, StateAnnotation
 
-#: The legacy log-line formats, exactly as the seed flow emitted them.
+#: The legacy log-line formats, exactly as the seed flow emitted them,
+#: except that the stateprop summary now ends with its SAT counters.
 LEGACY_LINE_FORMATS = [
     r"fsm_infer: \w+ has \d+ reachable states",
     r"encode: \w+ -> (binary|onehot|gray) \(\d+ states\)",
@@ -23,7 +24,8 @@ LEGACY_LINE_FORMATS = [
     r"optimize\[\d+\]: \d+ -> \d+ ands, depth \d+",
     r"retime: moved \d+ flops back to \d+ cone inputs",
     r"stateprop: bus \w+ no longer exists \(dropped\)",
-    r"stateprop: \d+ constants, \d+ merges over \d+ rounds",
+    r"stateprop: \d+ constants, \d+ merges over \d+ rounds "
+    r"\(\d+ SAT calls, \d+ skipped\)",
     r"map: netlist: \d+ cells, \d+ flops, area \d+\.\d um\^2 "
     r"\(comb \d+\.\d / seq \d+\.\d\)",
     r"size: met=(True|False) achieved=\d+\.\d{3} ns \(\d+ upsizes\)",

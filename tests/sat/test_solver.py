@@ -7,6 +7,8 @@ import pytest
 
 from repro.sat.solver import Solver, _luby
 
+from tests.sat.reference_solver import Solver as DictSolver
+
 
 def brute_force_sat(num_vars, clauses, assumptions=()):
     for bits in itertools.product([False, True], repeat=num_vars):
@@ -188,15 +190,14 @@ class ScanSolver(Solver):
         best_var = None
         best_activity = -1.0
         for var in range(1, self._num_vars + 1):
-            if var not in self._assign:
-                activity = self._activity.get(var, 0.0)
+            if self._assign[var] is None:
+                activity = self._activity[var]
                 if activity > best_activity:
                     best_activity = activity
                     best_var = var
         if best_var is None:
             return None
-        phase = self._phase.get(best_var, False)
-        return best_var if phase else -best_var
+        return best_var if self._phase[best_var] else -best_var
 
 
 class BoundedHeapSolver(Solver):
@@ -204,7 +205,7 @@ class BoundedHeapSolver(Solver):
 
     def _pick_branch(self):
         assert len(self._order) <= 2 * self._num_vars
-        assert self._in_order <= set(range(1, self._num_vars + 1))
+        assert not any(self._in_order[self._num_vars + 1:])
         return super()._pick_branch()
 
 
@@ -258,3 +259,56 @@ def test_heap_makes_the_scans_decisions(near_rescale):
             num_vars += rng.randint(0, 2)
         rescaled += heap._var_inc < start_inc  # only a rescale shrinks it
     assert rescaled > 0 or not near_rescale
+
+
+@pytest.mark.parametrize("near_rescale", [False, True])
+def test_lists_make_the_dict_solvers_decisions(near_rescale):
+    """The list-backed solver against the dict-backed one it replaced
+    (``tests/sat/reference_solver.py``): the same answers, models,
+    ``model_value`` readings and trails across incremental clause
+    additions, assumptions on variables no clause declared, and (with
+    ``near_rescale``) an activity rescale mid-search."""
+    rng = random.Random(1994 + near_rescale)
+    rescaled = 0
+    for _ in range(60):
+        lists, dicts = Solver(), DictSolver()
+        if near_rescale:
+            lists._var_inc = dicts._var_inc = rng.uniform(1e99, 1e100)
+        start_inc = lists._var_inc
+        num_vars = rng.randint(15, 40)
+        batch = 3 * num_vars
+        for _ in range(6):
+            for _ in range(batch):
+                clause = random_clause(rng, num_vars)
+                lists.add_clause(clause)
+                dicts.add_clause(clause)
+            batch = rng.randint(1, num_vars // 3)
+            assumed = rng.sample(range(1, num_vars + 4), rng.randint(0, 5))
+            assumptions = [v * rng.choice([-1, 1]) for v in assumed]
+            assert lists.solve(assumptions) == dicts.solve(assumptions)
+            assert lists.model() == dicts.model()
+            assert list(lists.model()) == list(dicts.model())
+            assert lists._trail == dicts._trail
+            for var in range(1, num_vars + 6):
+                for lit in (var, -var):
+                    assert lists.model_value(lit) == dicts.model_value(lit)
+            num_vars += rng.randint(0, 2)
+        rescaled += lists._var_inc < start_inc
+    assert rescaled > 0 or not near_rescale
+
+
+def test_assumption_on_an_undeclared_variable():
+    models = []
+    for solver in (Solver(), DictSolver()):
+        solver.add_clause([1, 2])
+        assert solver.solve(assumptions=[-1, 7])
+        assert solver.model() == {1: False, 7: True, 2: True}
+        assert solver.model_value(7) and not solver.model_value(-7)
+        assert not solver.model_value(9)
+        # Declaring it later (with 3..6) puts it in the order heap
+        # like any other variable.
+        solver.add_clause([-7, -2])
+        assert solver.solve(assumptions=[-1])
+        assert solver.model()[7] is False
+        models.append((solver.model(), solver._trail))
+    assert models[0] == models[1]
