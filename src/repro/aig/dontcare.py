@@ -60,7 +60,6 @@ def dc_rewrite(
     max_cuts: int = 6,
     tfo_depth: int = 2,
     support_limit: int = 10,
-    external_care=None,
 ) -> AIG:
     """One pass of don't-care-aware cut rewriting.
 
@@ -78,19 +77,6 @@ def dc_rewrite(
             windows see more masking logic but cost more.
         support_limit: widest source support a window table may reach;
             bounds every truth-table computation.
-        external_care: optional proven care predicates, each a
-            ``(sources, table)`` pair -- ``sources`` a sorted tuple of
-            source node ids (PIs / latch outputs) and ``table`` a
-            truth table over them whose 0-minterms are assignments the
-            caller has *proven* can never occur (e.g. an inductive
-            register invariant discharged by
-            :func:`repro.check.facts.discharge_register_invariant`).
-            Each pair is ANDed into every window's observability care
-            before don't-cares are extracted; a pair whose source
-            union with a window exceeds ``support_limit`` is skipped
-            for that window.  Soundness is the caller's proof: with an
-            unproven predicate the result is only equivalent on the
-            claimed care set.
 
     Returns:
         A cleaned-up AIG, never larger than the input.
@@ -149,10 +135,6 @@ def dc_rewrite(
         if observability is None:
             continue  # window tables exceeded the support budget
         obs_sources, obs_table = observability
-        if external_care:
-            obs_sources, obs_table = _merge_care(
-                obs_sources, obs_table, external_care, support_limit
-            )
 
         budget = mffc[node]
         accepted = False
@@ -187,40 +169,6 @@ def dc_rewrite(
     if compacted.num_ands > aig.num_ands:
         return aig
     return compacted
-
-
-def _merge_care(
-    obs_sources: tuple,
-    obs_table: int,
-    external_care,
-    support_limit: int,
-):
-    """AND each external care predicate into the window's care table.
-
-    The merge happens over the sorted union of the window's and the
-    predicate's sources -- both truth tables are re-expressed there and
-    conjoined, exactly the domain :func:`_cut_dontcares` later expands
-    to the cut's source union.  Pairs that would push the support past
-    ``support_limit`` are skipped (the window keeps what it has), so
-    the result is never less sound than the plain observability care.
-    """
-    sources = tuple(obs_sources)
-    table = obs_table
-    for care_sources, care_table in external_care:
-        union = tuple(sorted(set(sources) | set(care_sources)))
-        if len(union) > support_limit:
-            continue
-        if sources:
-            expanded = expand_table(table, sources, union)
-        else:
-            # Root windows carry a constant care (1: everything
-            # observable); replicate it over the new source universe.
-            expanded = (1 << (1 << len(union))) - 1 if table else 0
-        table = expanded & expand_table(
-            care_table, tuple(care_sources), union
-        )
-        sources = union
-    return sources, table
 
 
 def _and_fanouts(aig: AIG, topo: list[int]) -> dict[int, list[int]]:

@@ -1,6 +1,6 @@
 """``repro.check`` -- the static verification layer.
 
-Three analyzer families report through one
+Four analyzer families report through one
 :class:`~repro.check.diagnostics.Diagnostic` model:
 
 * :mod:`repro.check.spec` typechecks pipeline specs against the pass
@@ -14,10 +14,7 @@ Three analyzer families report through one
   annotations over the serve stack and the compile cache;
 * :mod:`repro.check.dataflow` runs abstract-interpretation analyses
   (worklist fixpoints over pluggable lattices) proving reachability,
-  constants, and dead logic -- the CHK7xx family -- and
-  :mod:`repro.check.facts` packages the proofs as
-  :class:`~repro.check.facts.FactSheet` advice the optimizing passes
-  consume after SAT re-discharge.
+  constants, and dead logic -- the CHK7xx family.
 
 ``python -m repro.check`` is the CLI; ``PassManager.compile`` and the
 compile server's ``POST /compile`` run the spec typechecker up front,
@@ -32,7 +29,6 @@ from repro.check.dataflow import (
     analyze_microcode,
     analyze_netlist,
     fsm_reachable_states,
-    microcode_reachable,
     solve,
 )
 from repro.check.diagnostics import (
@@ -42,14 +38,6 @@ from repro.check.diagnostics import (
     exit_code,
     has_errors,
     render,
-)
-from repro.check.facts import (
-    Fact,
-    FactSheet,
-    derive_facts,
-    discharge_register_invariant,
-    register_values_fact,
-    table_dontcare_fact,
 )
 from repro.check.irlint import (
     lint_aig,
@@ -66,8 +54,6 @@ from repro.check.spec import check_job, check_manager, check_spec
 __all__ = [
     "CODES",
     "Diagnostic",
-    "Fact",
-    "FactSheet",
     "analyze_aig",
     "analyze_fsm",
     "analyze_guards",
@@ -79,8 +65,6 @@ __all__ = [
     "check_manager",
     "check_spec",
     "default_lock_paths",
-    "derive_facts",
-    "discharge_register_invariant",
     "errors",
     "exit_code",
     "fsm_reachable_states",
@@ -92,9 +76,6 @@ __all__ = [
     "lint_netlist",
     "lint_program",
     "lint_transitions",
-    "microcode_reachable",
-    "register_values_fact",
     "render",
     "solve",
-    "table_dontcare_fact",
 ]

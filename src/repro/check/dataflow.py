@@ -2,7 +2,7 @@
 
 The structural linters (:mod:`repro.check.irlint`) walk graphs; this
 module *interprets* them: a generic worklist fixpoint solver
-(:func:`solve`) over pluggable lattices, instantiated four ways:
+(:func:`solve`) over pluggable lattices, instantiated three ways:
 
 * **predicate-aware FSM reachability** -- symbolic input conditions
   propagated through transitions.  Strictly stronger than CHK201/202's
@@ -10,26 +10,22 @@ module *interprets* them: a generic worklist fixpoint solver
   input* can reach is CHK701, and a cube-form transition guard no
   allowed input satisfies -- discharged via :mod:`repro.sat` -- is
   CHK702.
-* **constant/interval propagation over microcode** -- reachability of
-  :class:`~repro.controllers.assembler.AssembledProgram` addresses
-  through the sequencer, then per-field constant folding over the
-  reachable control words: CHK703 (a BRANCH whose taken and
-  fall-through targets coincide), CHK704 (a control field holding one
-  value at every reachable address), CHK705 (a dispatch table wired to
-  a sequencer that never dispatches).
+* **constant/interval propagation over microcode** -- per-field
+  constant folding over the control words an
+  :class:`~repro.controllers.assembler.AssembledProgram` can reach
+  (its own ``reachable_addresses`` walk): CHK703 (a BRANCH whose
+  taken and fall-through targets coincide), CHK704 (a control field
+  holding one value at every reachable address), CHK705 (a dispatch
+  table wired to a sequencer that never dispatches).
 * **liveness on AIGs and mapped netlists** -- the CHK402/CHK503 walks
   root at *all* outputs including every latch next; the liveness
   fixpoint here roots at primary outputs only and adds a latch's next
   cone when (and only when) its output is observed, so self-sustaining
   but output-independent cones are found: CHK706.
-* **pass-effect contracts** -- declared :class:`~repro.flow.schema.
-  PassSchema` effects checked pipeline-wide by
-  :func:`repro.check.spec.check_manager` (CHK710 lives there; the
-  freshness lattice is this module's smallest instantiation).
 
-Findings are warnings: a semantically unreachable state is exactly the
-don't-care :mod:`repro.check.facts` feeds to the optimizer, so shipping
-one is an opportunity, not a bug.
+Findings are warnings: a semantically unreachable state is an
+opportunity, not a bug -- annotating the state register with the
+reachable set lets state folding spend it.
 """
 
 from __future__ import annotations
@@ -280,8 +276,8 @@ def analyze_fsm(spec, allowed_inputs=None) -> "list[Diagnostic]":
                 f"state {state} is semantically unreachable "
                 f"{qualifier}from reset state {spec.reset_state}",
                 suggestion=(
-                    "attach the proven reachable set as a fact sheet "
-                    "so fsm_encode and dc_rewrite can exploit it"
+                    "annotate the state register with the reachable "
+                    "set so state folding can use it"
                 ),
             )
         )
@@ -378,46 +374,8 @@ def analyze_guards(
 
 
 # ---------------------------------------------------------------------
-# Microcode reachability + constant propagation
+# Microcode constant propagation
 # ---------------------------------------------------------------------
-def microcode_reachable(
-    program, entry_labels=None, opcodes=None
-) -> "set[int]":
-    """Reachable addresses of an ``AssembledProgram`` via the worklist
-    solver.  Byte-identical results to
-    ``program.reachable_addresses()`` (the CHK304 walk this engine
-    replaces), including the ``KeyError`` on undefined entry or
-    dispatch labels."""
-    from repro.controllers.microcode import SeqOp
-
-    length = program.length
-    depth = program.depth
-    starts = {0}
-    if entry_labels:
-        starts = {program.labels[name] for name in entry_labels}
-    dispatch_targets: set[int] = set()
-    if program.dispatch is not None:
-        dispatch_targets = program.dispatch.targets(program.labels, opcodes)
-
-    def successors(addr):
-        seq_op, _, target = program.seq_words[addr]
-        succ: set[int] = set()
-        if seq_op == SeqOp.NEXT:
-            succ.add((addr + 1) % depth)
-        elif seq_op == SeqOp.JUMP:
-            succ.add(target)
-        elif seq_op == SeqOp.BRANCH:
-            succ.add(target)
-            succ.add((addr + 1) % depth)
-        elif seq_op == SeqOp.DISPATCH:
-            succ |= dispatch_targets
-        return [(s, None) for s in succ if s < length]
-
-    entries = {addr: True for addr in starts if addr < length}
-    facts = solve(successors, entries, BoolLattice())
-    return {addr for addr, fact in facts.items() if fact}
-
-
 def analyze_microcode(
     program, entry_labels=None, opcodes=None
 ) -> "list[Diagnostic]":
@@ -436,14 +394,13 @@ def analyze_microcode(
     from repro.controllers.microcode import SeqOp
 
     try:
-        reachable = microcode_reachable(program, entry_labels, opcodes)
+        reachable = program.reachable_addresses(entry_labels, opcodes)
     except KeyError:
         return []
     diagnostics: list[Diagnostic] = []
-    length = program.length
     depth = program.depth
 
-    for addr in sorted(reachable):
+    for addr in reachable:
         seq_op, _, target = program.seq_words[addr]
         if seq_op == SeqOp.BRANCH and target == (addr + 1) % depth:
             diagnostics.append(
@@ -466,7 +423,7 @@ def analyze_microcode(
                     program.format.unpack(program.control_words[addr])[
                         field.name
                     ]
-                    for addr in sorted(reachable)
+                    for addr in reachable
                 ),
             )
             if value in (CONST_BOTTOM, CONST_TOP):
@@ -479,8 +436,7 @@ def analyze_microcode(
                     f"control field {field.name!r} decodes to "
                     f"{value!r} at every reachable address",
                     suggestion=(
-                        "the downstream register is constant; tie it "
-                        "off or let dc_rewrite consume the fact"
+                        "the downstream register is constant; tie it off"
                     ),
                 )
             )

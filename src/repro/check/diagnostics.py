@@ -66,7 +66,6 @@ CODES = {
     "CHK704": "register provably constant",
     "CHK705": "dispatch target never taken",
     "CHK706": "output-independent logic cone",
-    "CHK710": "pass-effect contract violation",
 }
 
 

@@ -319,14 +319,8 @@ def lint_microcode(program) -> "list[Diagnostic]":
                 )
             )
 
-    # Reachability comes from the generic worklist solver
-    # (:func:`repro.check.dataflow.microcode_reachable`), which clones
-    # the assembler's ``reachable_addresses`` semantics exactly --
-    # CHK304's message and trigger set are unchanged.
-    from repro.check.dataflow import microcode_reachable
-
     try:
-        reachable = set(microcode_reachable(program))
+        reachable = set(program.reachable_addresses())
     except KeyError:
         reachable = None  # already reported as CHK305
     if reachable is not None:

@@ -112,7 +112,6 @@ def check_spec(
     input_stage: "str | None" = None,
     ir_kind: "str | None" = None,
     has_bindings: "bool | None" = None,
-    has_facts: "bool | None" = None,
 ) -> "list[Diagnostic]":
     """Typecheck a pipeline spec string.
 
@@ -126,9 +125,6 @@ def check_spec(
             ``input_stage`` is ``"ctrl"`` and it is known.
         has_bindings: whether the compile will carry configuration
             bindings; ``None`` skips the CHK107 check.
-        has_facts: whether the compile will carry a
-            :class:`~repro.check.facts.FactSheet`; truthy enables the
-            CHK710 pass-effect contract check.
 
     Returns:
         Every finding, in spec order (parse problems first for an
@@ -141,7 +137,6 @@ def check_spec(
             input_stage=input_stage,
             ir_kind=ir_kind,
             has_bindings=has_bindings,
-            has_facts=has_facts,
         )
     )
     return diagnostics
@@ -153,7 +148,6 @@ def check_manager(
     input_stage: "str | None" = None,
     ir_kind: "str | None" = None,
     has_bindings: "bool | None" = None,
-    has_facts: "bool | None" = None,
 ) -> "list[Diagnostic]":
     """Typecheck an already-built :class:`PassManager`.
 
@@ -187,7 +181,6 @@ def check_manager(
         input_stage=input_stage,
         ir_kind=ir_kind,
         has_bindings=has_bindings,
-        has_facts=has_facts,
     )
 
 
@@ -199,21 +192,18 @@ def check_job(job) -> "list[Diagnostic]":
         ctrl=job.ctrl, module=job.module, aig=job.aig
     )
     has_bindings = job.bindings is not None
-    has_facts = getattr(job, "facts", None) is not None
     if isinstance(job.pipeline, str):
         return check_spec(
             job.pipeline,
             input_stage=input_stage,
             ir_kind=ir_kind,
             has_bindings=has_bindings,
-            has_facts=has_facts,
         )
     return check_manager(
         job.pipeline,
         input_stage=input_stage,
         ir_kind=ir_kind,
         has_bindings=has_bindings,
-        has_facts=has_facts,
     )
 
 
@@ -333,18 +323,11 @@ def _simulate(
     input_stage: "str | None",
     ir_kind: "str | None",
     has_bindings: "bool | None",
-    has_facts: "bool | None" = None,
 ) -> "list[Diagnostic]":
     """Walk the stage machine over normalized items."""
     diagnostics: list[Diagnostic] = []
     current = input_stage
     kind = ir_kind if input_stage == "ctrl" else None
-    # Pass-effect contract tracking (CHK710): a compile that carries a
-    # fact sheet starts with fresh facts; a pass declaring
-    # ``may_reencode_state`` without ``requires_facts`` stales them
-    # (it changes the encoding without translating the sheet), and any
-    # later ``requires_facts`` consumer is flagged.
-    facts_fresh = bool(has_facts)
     for item in items:
         if item.name not in PASS_REGISTRY:
             hint = suggest_name(item.name, PASS_REGISTRY)
@@ -452,31 +435,6 @@ def _simulate(
                     ),
                 )
             )
-        if has_facts:
-            if schema.requires_facts and not facts_fresh:
-                diagnostics.append(
-                    Diagnostic(
-                        code="CHK710",
-                        severity="warning",
-                        location=item.location,
-                        message=(
-                            f"pass {item.name!r} consumes proven facts, "
-                            f"but an earlier pass re-encoded state "
-                            f"without translating the fact sheet; the "
-                            f"facts here are stale and will be skipped"
-                        ),
-                        suggestion=(
-                            "move the fact consumer before the "
-                            "re-encoding pass, or use a re-encoding "
-                            "pass that declares requires_facts"
-                        ),
-                    )
-                )
-            if schema.may_reencode_state:
-                # A re-encoder that also declares requires_facts
-                # translates the sheet through the re-encoding and
-                # keeps it fresh; one that does not stales it.
-                facts_fresh = schema.requires_facts and facts_fresh
         current = schema.out_stage
         if current != "ctrl":
             kind = None

@@ -76,7 +76,9 @@ if TYPE_CHECKING:
 #: sheets joined the key -- a fact-assisted compile may legitimately
 #: produce a different (better) result than a plain one, so the two
 #: must never collide.
-FINGERPRINT_VERSION = 5
+#: Version 6: the ``facts`` slot and its key chunk left again with the
+#: facts bridge; proven value sets travel as seeded annotations.
+FINGERPRINT_VERSION = 6
 
 #: Bump whenever the stage-snapshot envelope or the meaning of a
 #: restored mid-pipeline context changes: snapshot keys are derived
@@ -114,7 +116,6 @@ def flow_fingerprint(
     bindings: "dict[str, list[int]] | None" = None,
     library: "Library | None" = None,
     seed: int = 2011,
-    facts=None,
 ) -> str:
     """The cache key of one ``PassManager.compile`` invocation.
 
@@ -148,9 +149,6 @@ def flow_fingerprint(
             ``None`` placeholder, or a future change of the built-in
             default would serve stale cache hits.
         seed: the context RNG seed.
-        facts: the seeded :class:`~repro.check.facts.FactSheet`, or
-            ``None``; hashed by its content hash (``sheet_hash()``),
-            so fact-assisted and plain compiles key differently.
 
     Returns:
         A hex SHA-256 digest; equal digests mean "same compile".
@@ -170,7 +168,6 @@ def flow_fingerprint(
         bindings=bindings,
         library=library,
         seed=seed,
-        facts=facts,
     )
     return _spec_digest(spec, chunks)
 
@@ -184,7 +181,6 @@ def _input_chunks(
     bindings: "dict[str, list[int]] | None" = None,
     library: "Library | None" = None,
     seed: int = 2011,
-    facts=None,
 ) -> "list[bytes]":
     """The input-dependent digest chunks of :func:`flow_fingerprint`,
     in hashing order -- everything except the version header and the
@@ -237,11 +233,6 @@ def _input_chunks(
         repr(("library-registry", registered_libraries_digest())).encode()
     )
     chunks.append(repr(("seed", seed)).encode())
-    chunks.append(
-        repr(
-            ("facts", None if facts is None else facts.sheet_hash())
-        ).encode()
-    )
     return chunks
 
 
@@ -264,7 +255,6 @@ def fingerprint_prefixes(
     bindings: "dict[str, list[int]] | None" = None,
     library: "Library | None" = None,
     seed: int = 2011,
-    facts=None,
 ) -> "list[str]":
     """:func:`flow_fingerprint` folded over every pipeline prefix.
 
@@ -291,7 +281,6 @@ def fingerprint_prefixes(
         bindings=bindings,
         library=library,
         seed=seed,
-        facts=facts,
     )
     return [_spec_digest(spec, chunks) for spec in prefix_specs]
 

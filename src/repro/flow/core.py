@@ -264,12 +264,6 @@ class FlowContext:
     #: ``annotations``, seeded at compile time, fingerprinted by the
     #: cache.
     bindings: "dict[str, list[int]] | None" = None
-    #: A :class:`repro.check.facts.FactSheet` of statically proven
-    #: properties the optimizing passes may consume (after
-    #: re-discharging them).  Design state like ``annotations``:
-    #: seeded at compile time, fingerprinted by the cache, and
-    #: translated or retired by passes that re-encode state.
-    facts: object | None = None
     #: Free-form JSON-safe provenance recorded by the executors (where
     #: a resumed compile restarted, how many passes it skipped).  Never
     #: part of the fingerprint and never compared by ``diff_runs``:

@@ -84,8 +84,6 @@ def _require_ir(pass_: Pass, ctx: FlowContext, ir_type: type):
                 help="keep the table memories programmable",
             ),
         },
-        may_reencode_state=True,
-        requires_facts=True,
     ),
 )
 class FsmEncodePass(Pass):
@@ -143,7 +141,6 @@ class FsmEncodePass(Pass):
             f"fsm_encode: {spec.name} -> {self.realize} rtl "
             f"({spec.num_states} states)"
         )
-        old_width = module.regs["state"].width
         if self.style != "same":
             values = tuple(range(spec.num_states))
             module, annotation = reencode_register(
@@ -157,41 +154,6 @@ class FsmEncodePass(Pass):
                 f"({spec.num_states} states)"
             )
         ctx.module = module
-        self._lower_facts(ctx, spec, old_width)
-
-    def _lower_facts(self, ctx: FlowContext, spec: FsmSpec, old_width: int) -> None:
-        """Lower a ``reachable-states`` fact about this FSM into a
-        ``register-values`` fact on the ``state`` register.
-
-        This is the generator-knowledge handoff: the dataflow engine
-        proved the set on the IR (:func:`repro.check.facts.derive_facts`),
-        and the lowering -- the only pass that knows how states become
-        register codes, including a ``style`` re-encoding -- rewrites
-        it in the coordinates the AIG-stage consumers understand.
-        """
-        if ctx.facts is None:
-            return
-        from repro.check.facts import register_values_fact
-        from repro.synth.encode import make_encoding
-
-        for fact in ctx.facts.select("reachable-states", spec.ir_hash()):
-            encoding = make_encoding(
-                tuple(range(spec.num_states)), self.style, old_width
-            )
-            if any(v not in encoding.old_to_new for v in fact.values):
-                continue  # a fact about states the spec does not have
-            ctx.facts = ctx.facts.replacing(
-                register_values_fact(
-                    "state",
-                    encoding.new_width,
-                    tuple(encoding.old_to_new[v] for v in fact.values),
-                    detail=fact.detail,
-                )
-            )
-            self.note(
-                f"fsm_encode: fact: state reaches {len(fact.values)} of "
-                f"{spec.num_states} states"
-            )
 
 
 @register_pass(
@@ -243,22 +205,13 @@ class TableRomPass(Pass):
             ),
             "name": Option("str", default="sop", help="generated module name"),
         },
-        requires_facts=True,
     ),
 )
 class TableMinimizePass(Pass):
     """Lower a :class:`TruthTable` to direct two-level SOP RTL,
     minimized by the chosen engine (``isop``, exact ``qm``, or
     ``espresso`` improvement) -- the paper's hand-written style, and
-    the table-engine ablation knob.
-
-    A ``table-dontcare`` fact matching the table's content hash frees
-    the never-addressed rows during minimization.  The assisted
-    lowering is only kept after the SAT harness proves it equivalent
-    to the plain one on every cared-for row
-    (:func:`repro.sat.equiv.check_equivalence_under_care`) *and* it
-    elaborates to strictly fewer AND nodes; otherwise the plain
-    lowering ships, so a fact can never make the result worse."""
+    the table-engine ablation knob."""
 
     stage = "ctrl"
 
@@ -282,62 +235,11 @@ class TableMinimizePass(Pass):
 
     def run(self, ctx: FlowContext) -> None:
         table = _require_ir(self, ctx, TruthTable)
-        module = table_to_sop_rtl(table, self.module_name, self.engine)
-        module = self._try_facts(ctx, table, module)
-        ctx.module = module
+        ctx.module = table_to_sop_rtl(table, self.module_name, self.engine)
         self.note(
             f"table_minimize: {table.depth}x{table.num_outputs} table -> "
             f"sop ({self.engine})"
         )
-
-    def _try_facts(self, ctx: FlowContext, table: TruthTable, plain):
-        """The fact-assisted lowering, when it survives its discharge."""
-        if ctx.facts is None:
-            return plain
-        facts = ctx.facts.select("table-dontcare", table.ir_hash())
-        if not facts:
-            return plain
-        from repro.sat.equiv import check_equivalence_under_care
-        from repro.synth.elaborate import elaborate
-        from repro.tables.rtl import _sop_expr
-        from repro.rtl.builder import ModuleBuilder
-
-        dc_set = 0
-        for fact in facts:
-            for row in fact.values:
-                if 0 <= row < table.depth:
-                    dc_set |= 1 << row
-        care_set = ((1 << table.depth) - 1) & ~dc_set
-        if not dc_set or not care_set:
-            return plain
-        assisted = table_to_sop_rtl(
-            table, self.module_name, self.engine, dc_set=dc_set
-        )
-        plain_aig = elaborate(plain).aig
-        assisted_aig = elaborate(assisted).aig
-        if assisted_aig.num_ands >= plain_aig.num_ands:
-            return plain  # the freedom bought nothing: ship the plain SOP
-        care_builder = ModuleBuilder("care")
-        addr = care_builder.input("addr", table.num_inputs)
-        care_builder.output(
-            "care", _sop_expr(addr, care_set, table.num_inputs, "isop")
-        )
-        care_aig = elaborate(care_builder.build()).aig
-        verdict = check_equivalence_under_care(
-            plain_aig, assisted_aig, care_aig, "care[0]"
-        )
-        if not verdict.equivalent:
-            self.note(
-                "table_minimize: fact-assisted sop failed its SAT "
-                "discharge (kept the plain lowering)"
-            )
-            return plain
-        self.note(
-            f"table_minimize: fact freed {table.depth - bin(care_set).count('1')} "
-            f"rows, -{plain_aig.num_ands - assisted_aig.num_ands} ands "
-            f"(SAT-discharged)"
-        )
-        return assisted
 
 
 @register_pass(

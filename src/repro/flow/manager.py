@@ -249,7 +249,6 @@ class PassManager:
         bindings=None,
         library=None,
         seed: int = 2011,
-        facts=None,
     ) -> list[str]:
         """:func:`~repro.flow.cache.fingerprint_prefixes` over this
         pipeline's prefixes with these inputs.  The last element is
@@ -265,7 +264,6 @@ class PassManager:
             bindings=bindings,
             library=library,
             seed=seed,
-            facts=facts,
         )
 
     # -- execution ----------------------------------------------------
@@ -286,7 +284,6 @@ class PassManager:
         bindings=None,
         library=None,
         seed: int = 2011,
-        facts=None,
         cache=None,
         snapshots=None,
     ) -> FlowContext:
@@ -295,11 +292,8 @@ class PassManager:
         Start from a controller IR (``ctrl`` -- the frontend stage
         lowers it), RTL (``module``), an already-elaborated ``aig``,
         or a combination; ``annotations`` seed the context's state
-        annotations, ``bindings`` its configuration-memory contents
-        (consumed by the ``pe_bind`` pass), and ``facts`` an optional
-        :class:`~repro.check.facts.FactSheet` of statically proven
-        properties the optimizing passes may consume (each
-        re-discharged via SAT before use).
+        annotations and ``bindings`` its configuration-memory contents
+        (consumed by the ``pe_bind`` pass).
 
         With a :class:`~repro.flow.cache.CompileCache` as ``cache``,
         the run is keyed on the fingerprint of (inputs, rendered
@@ -339,7 +333,6 @@ class PassManager:
                 input_stage=input_stage,
                 ir_kind=ir_kind,
                 has_bindings=bindings is not None,
-                has_facts=facts is not None,
             )
             if diagnostic.severity == "error"
         ]
@@ -367,7 +360,6 @@ class PassManager:
                     bindings=bindings,
                     library=library,
                     seed=seed,
-                    facts=facts,
                 )
             fingerprint = (
                 prefix_fps[-1]
@@ -381,7 +373,6 @@ class PassManager:
                     bindings=bindings,
                     library=library,
                     seed=seed,
-                    facts=facts,
                 )
             )
             hit = cache.get(fingerprint)
@@ -396,7 +387,6 @@ class PassManager:
             bindings=bindings,
             library=library,
             seed=seed,
-            facts=facts,
             cache=cache,
             prefix_fingerprints=prefix_fps,
         )
@@ -435,7 +425,6 @@ def prepare_resume(
     bindings=None,
     library=None,
     seed: int = 2011,
-    facts=None,
     cache=None,
     prefix_fingerprints: Sequence[str] = (),
 ) -> tuple[FlowContext, int]:
@@ -485,7 +474,6 @@ def prepare_resume(
             bindings=bindings,
             library=library,
             seed=seed,
-            facts=facts,
         ),
         0,
     )

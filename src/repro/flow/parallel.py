@@ -75,10 +75,6 @@ class CompileJob:
     bindings: "dict[str, list[int]] | None" = None
     library: "Library | None" = None
     seed: int = 2011
-    #: Optional :class:`repro.check.facts.FactSheet`; fingerprinted
-    #: like every other input, consumed (after SAT re-discharge) by
-    #: the optimizing passes.
-    facts: object | None = None
 
 
 class CompileJobError(FlowError):
@@ -120,7 +116,6 @@ def _job_fingerprint(job: CompileJob, pipeline: PassManager) -> str:
         bindings=job.bindings,
         library=job.library,
         seed=job.seed,
-        facts=job.facts,
     )
 
 
@@ -135,7 +130,6 @@ def _job_prefix_fingerprints(
         bindings=job.bindings,
         library=job.library,
         seed=job.seed,
-        facts=job.facts,
     )
 
 
@@ -178,7 +172,6 @@ def _execute_job(
         bindings=job.bindings,
         library=job.library,
         seed=job.seed,
-        facts=job.facts,
         cache=cache,
         prefix_fingerprints=prefix_fps,
     )

@@ -110,17 +110,10 @@ class HonourAnnotationsPass(Pass):
                 help="target state encoding for annotated registers",
             ),
         },
-        may_reencode_state=True,
-        requires_facts=True,
     ),
 )
 class EncodePass(Pass):
-    """Re-encode every annotated state register (``set_fsm_encoding``).
-
-    Declares ``may_reencode_state`` *and* ``requires_facts``: any
-    ``register-values`` fact on a re-encoded register is translated
-    through the encoding map (or retired when it no longer fits), so
-    the sheet stays honest downstream."""
+    """Re-encode every annotated state register (``set_fsm_encoding``)."""
 
     stage = "rtl"
 
@@ -141,7 +134,6 @@ class EncodePass(Pass):
             return
         reencoded: list[StateAnnotation] = []
         for annotation in ctx.annotations:
-            old_width = ctx.module.regs[annotation.reg_name].width
             ctx.module, new_annotation = reencode_register(
                 ctx.module,
                 annotation.reg_name,
@@ -153,45 +145,7 @@ class EncodePass(Pass):
                 f"encode: {annotation.reg_name} -> "
                 f"{self.style} ({len(annotation.values)} states)"
             )
-            self._translate_facts(ctx, annotation, old_width)
         ctx.annotations = reencoded
-
-    def _translate_facts(
-        self, ctx: FlowContext, annotation: StateAnnotation, old_width: int
-    ) -> None:
-        """Carry ``register-values`` facts through the re-encoding.
-
-        The fact's values map through the same
-        :func:`~repro.synth.encode.make_encoding` table the register
-        rewrite used; a fact mentioning a value outside the annotated
-        set has no image and is retired instead of guessed at.
-        """
-        if ctx.facts is None:
-            return
-        from repro.check.facts import register_values_fact
-        from repro.synth.encode import make_encoding
-
-        for fact in ctx.facts.select("register-values", annotation.reg_name):
-            encoding = make_encoding(
-                tuple(annotation.values), self.style, old_width
-            )
-            if any(v not in encoding.old_to_new for v in fact.values):
-                ctx.facts = ctx.facts.without(
-                    "register-values", annotation.reg_name
-                )
-                self.note(
-                    f"encode: fact {annotation.reg_name!r} outside the "
-                    f"annotated set (retired)"
-                )
-                continue
-            ctx.facts = ctx.facts.replacing(
-                register_values_fact(
-                    annotation.reg_name,
-                    encoding.new_width,
-                    tuple(encoding.old_to_new[v] for v in fact.values),
-                    detail=fact.detail,
-                )
-            )
 
 
 @register_pass(
@@ -415,24 +369,13 @@ class ResubPass(Pass):
                 help="skip windows whose support exceeds this",
             ),
         },
-        requires_facts=True,
     ),
 )
 class DcRewritePass(Pass):
     """Don't-care-aware rewriting (:func:`repro.aig.dontcare.dc_rewrite`):
     windowed satisfiability/observability don't-cares relax each cut's
     ON-set before ISOP resynthesis, accepting covers the exact
-    ``rewrite`` pass must reject.
-
-    When the context carries a :class:`~repro.check.facts.FactSheet`,
-    every ``register-values`` fact is first re-discharged against the
-    *current* AIG by the SAT harness
-    (:func:`~repro.check.facts.discharge_register_invariant`); the
-    proven ones become external care predicates that widen the
-    windowed don't-cares.  The pass runs both the assisted and the
-    unassisted rewrite and keeps the smaller result (ties go to the
-    unassisted one), so a fact-carrying compile is byte-identical or
-    strictly better, never worse."""
+    ``rewrite`` pass must reject."""
 
     def __init__(
         self,
@@ -468,82 +411,22 @@ class DcRewritePass(Pass):
 
     def run(self, ctx: FlowContext) -> None:
         before = ctx.aig.num_ands
-        plain = dc_rewrite(
+        ctx.aig = dc_rewrite(
             ctx.aig,
             k=self.k,
             max_cuts=self.max_cuts,
             tfo_depth=self.tfo_depth,
             support_limit=self.support_limit,
         )
-        external_care = self._discharged_care(ctx)
-        if external_care:
-            assisted = dc_rewrite(
-                ctx.aig,
-                k=self.k,
-                max_cuts=self.max_cuts,
-                tfo_depth=self.tfo_depth,
-                support_limit=self.support_limit,
-                external_care=external_care,
-            )
-            if assisted.num_ands < plain.num_ands:
-                self.note(
-                    f"dc_rewrite: facts saved "
-                    f"{plain.num_ands - assisted.num_ands} extra ands"
-                )
-                plain = assisted
-        ctx.aig = plain
         saved = before - ctx.aig.num_ands
         if saved:
             self.note(f"dc_rewrite: -{saved} ands via don't-cares")
             ctx.mark_progress()
 
-    def _discharged_care(self, ctx: FlowContext) -> list:
-        """External care predicates from the context's fact sheet.
 
-        Every ``register-values`` fact is re-proven against the AIG the
-        pass is about to rewrite; facts whose invariant no longer
-        discharges (stale after an undeclared re-encoding, or simply
-        wrong) are skipped with a log line instead of being trusted.
-        """
-        if ctx.facts is None:
-            return []
-        from repro.check.facts import (
-            discharge_register_invariant,
-            register_care,
-        )
-
-        care = []
-        for fact in ctx.facts.select("register-values"):
-            if not discharge_register_invariant(
-                ctx.aig, fact.target, fact.values
-            ):
-                self.note(
-                    f"dc_rewrite: fact {fact.target!r} failed its SAT "
-                    f"re-discharge (skipped)"
-                )
-                continue
-            pair = register_care(ctx.aig, fact.target, fact.values)
-            if pair is None:
-                continue
-            care.append(pair)
-            self.note(
-                f"dc_rewrite: fact {fact.target!r} discharged "
-                f"({len(fact.values)} values)"
-            )
-        return care
-
-
-@register_pass(
-    "retime", PassSchema(stage="aig", may_reencode_state=True)
-)
+@register_pass("retime", PassSchema(stage="aig"))
 class RetimePass(Pass):
-    """One backward-retime step; flags progress when flops moved.
-
-    Declares ``may_reencode_state``: moved flops dissolve the named
-    latch buses that ``register-values`` facts refer to, and the pass
-    does not translate the sheet -- downstream fact consumers see
-    their re-discharge fail and fall back (CHK710 flags the ordering
-    statically)."""
+    """One backward-retime step; flags progress when flops moved."""
 
     def run(self, ctx: FlowContext) -> None:
         ctx.aig, stats = retime_backward(ctx.aig)
@@ -695,7 +578,6 @@ class OptimizeLoop(FixedPoint):
                 "int", default=4, min=1, help="maximum retime steps"
             ),
         },
-        may_reencode_state=True,
     ),
 )
 class RetimeStage(WhileProgress):

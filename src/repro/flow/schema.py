@@ -170,21 +170,6 @@ class PassSchema:
         needs_bindings: the pass requires configuration bindings on
             the context (``pe_bind``).
         options: option name -> :class:`Option`.
-        preserves_equivalence: the pass leaves the design's sequential
-            behaviour intact (every shipped pass does; a future lossy
-            approximation pass would declare ``False`` so the contract
-            checker can flag it ahead of equivalence-checked stages).
-        may_reencode_state: the pass may change how register values
-            are encoded (``encode``, state folding, retiming), which
-            invalidates ``register-values`` facts unless the pass also
-            declares ``requires_facts`` (meaning it translates the
-            sheet through the re-encoding instead of staling it).
-        requires_facts: the pass reads the context's
-            :class:`~repro.check.facts.FactSheet` when one is present.
-            ``check_manager`` reports CHK710 when such a pass runs
-            after an undeclared re-encoding -- the facts it would read
-            are stale (consumers re-discharge and skip them at
-            runtime, so this is a warning, not a miscompile).
     """
 
     stage: str = "aig"
@@ -193,9 +178,6 @@ class PassSchema:
     produces_kind: "str | None" = None
     needs_bindings: bool = False
     options: "dict[str, Option]" = field(default_factory=dict)
-    preserves_equivalence: bool = True
-    may_reencode_state: bool = False
-    requires_facts: bool = False
 
     @property
     def out_stage(self) -> str:
@@ -211,12 +193,6 @@ class PassSchema:
             out["produces_kind"] = self.produces_kind
         if self.needs_bindings:
             out["needs_bindings"] = True
-        if not self.preserves_equivalence:
-            out["preserves_equivalence"] = False
-        if self.may_reencode_state:
-            out["may_reencode_state"] = True
-        if self.requires_facts:
-            out["requires_facts"] = True
         out["options"] = {
             name: option.describe()
             for name, option in sorted(self.options.items())

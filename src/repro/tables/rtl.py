@@ -42,61 +42,45 @@ def table_to_rom_rtl(table: TruthTable, name: str = "table") -> Module:
     return b.build()
 
 
-def sop_cover(
-    on_set: int, num_inputs: int, engine: str = "isop", dc_set: int = 0
-) -> list[Cube]:
-    """A two-level cover of one output column via the given engine.
-
-    ``dc_set`` marks rows the cover may treat freely (never-presented
-    addresses, from a ``table-dontcare`` fact); every engine already
-    accepts an interval ``on <= g <= on | dc``, so the default
-    ``dc_set=0`` path is byte-identical to the historical behaviour.
-    """
-    on = on_set & ~dc_set
+def sop_cover(on_set: int, num_inputs: int, engine: str = "isop") -> list[Cube]:
+    """A two-level cover of one output column via the given engine."""
     if engine == "isop":
-        return isop(on, dc_set, num_inputs)
+        return isop(on_set, 0, num_inputs)
     if engine == "qm":
-        return minimize_exact(on, dc_set, num_inputs)
+        return minimize_exact(on_set, 0, num_inputs)
     if engine == "espresso":
-        cubes = isop(on, dc_set, num_inputs)
-        return improve_cover(cubes, on, dc_set, num_inputs)
+        cubes = isop(on_set, 0, num_inputs)
+        return improve_cover(cubes, on_set, 0, num_inputs)
     raise ValueError(
         f"unknown SOP engine {engine!r}; known: {', '.join(SOP_ENGINES)}"
     )
 
 
 def table_to_sop_rtl(
-    table: TruthTable,
-    name: str = "sop",
-    engine: str = "isop",
-    dc_set: int = 0,
+    table: TruthTable, name: str = "sop", engine: str = "isop"
 ) -> Module:
-    """The direct style: sum-of-products assignments per output bit.
-
-    ``dc_set`` relaxes every output column at the given row addresses;
-    the result is only guaranteed to match the table on rows outside
-    ``dc_set`` (the caller owns the claim that the rest never occur).
-    """
+    """The direct style: sum-of-products assignments per output bit."""
+    # Checked here, not only in sop_cover: all-zero columns never reach it.
+    if engine not in SOP_ENGINES:
+        raise ValueError(
+            f"unknown SOP engine {engine!r}; known: {', '.join(SOP_ENGINES)}"
+        )
     b = ModuleBuilder(name)
     addr = b.input("addr", table.num_inputs)
     bits: list[Expr] = []
     for output in range(table.num_outputs):
         bits.append(
-            _sop_expr(
-                addr, table.columns[output], table.num_inputs, engine, dc_set
-            )
+            _sop_expr(addr, table.columns[output], table.num_inputs, engine)
         )
     b.output("out", cat(*bits) if len(bits) > 1 else bits[0])
     return b.build()
 
 
-def _sop_expr(
-    addr, on_set: int, num_inputs: int, engine: str, dc_set: int = 0
-) -> Expr:
-    if on_set & ~dc_set == 0:
+def _sop_expr(addr, on_set: int, num_inputs: int, engine: str) -> Expr:
+    if on_set == 0:
         return Const(0, 1)
     terms: list[Expr] = []
-    for cube in sop_cover(on_set, num_inputs, engine, dc_set):
+    for cube in sop_cover(on_set, num_inputs, engine):
         literals = [
             addr[var : var + 1] if polarity else ~addr[var : var + 1]
             for var, polarity in cube.literals()

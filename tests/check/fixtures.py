@@ -217,13 +217,6 @@ FIXTURES = {
         )
     ),
     "CHK706": lambda: analyze_aig(_aig_with_dead_cone()),
-    # -- pass-effect contracts ----------------------------------------
-    "CHK710": lambda: check_spec(
-        "fsm_encode{realize=case},elaborate,retime,dc_rewrite",
-        input_stage="ctrl",
-        ir_kind="fsm",
-        has_facts=True,
-    ),
 }
 
 

@@ -1,4 +1,4 @@
-"""The dataflow engine: solver and lattices, the four analyses, and
+"""The dataflow engine: solver and lattices, the three analyses, and
 the reporting surface (SARIF emission, suppressions, the CLI)."""
 
 import json
@@ -19,7 +19,6 @@ from repro.check.dataflow import (
     analyze_netlist,
     fold,
     fsm_reachable_states,
-    microcode_reachable,
     solve,
 )
 from repro.check.diagnostics import Diagnostic
@@ -41,7 +40,6 @@ from tests.check.fixtures import (
     _aig_with_dead_cone,
     _constant_field,
     _dead_branch,
-    _loop_program,
     _netlist,
 )
 
@@ -118,8 +116,9 @@ def test_input_predicate_is_strictly_stronger():
     assert fsm_reachable_states(spec) == {0, 1}
     assert fsm_reachable_states(spec, allowed_inputs=[0]) == {0}
     assert analyze_fsm(spec) == []
-    codes = [d.code for d in analyze_fsm(spec, allowed_inputs=[0])]
-    assert codes == ["CHK701"]
+    (finding,) = analyze_fsm(spec, allowed_inputs=[0])
+    assert finding.code == "CHK701"
+    assert "annotate the state register" in finding.suggestion
 
 
 def test_allowed_input_cubes_expand():
@@ -151,17 +150,6 @@ def test_guard_analysis_clean_without_predicate():
 # ---------------------------------------------------------------------
 # Microcode constant propagation
 # ---------------------------------------------------------------------
-def test_microcode_reachability_matches_program_walk():
-    for program in (
-        _loop_program().assemble(),
-        _dead_branch(),
-        _constant_field(),
-    ):
-        assert microcode_reachable(program) == set(
-            program.reachable_addresses()
-        )
-
-
 def test_dead_branch_and_constant_field_found():
     assert [d.code for d in analyze_microcode(_dead_branch())] == [
         "CHK703"

@@ -186,6 +186,11 @@ def test_sop_engines_parse_and_synthesize():
         assert ctx.area.total > 0
     with pytest.raises(FlowError, match="rejected options"):
         PassManager.parse("table_minimize{engine=bogus}")
+    # An all-zero output column never reaches the cover engine; the
+    # name is still checked.
+    for columns in ((0,), (6,)):
+        with pytest.raises(ValueError, match="unknown SOP engine"):
+            table_to_sop_rtl(TruthTable(2, columns), "sop", engine="bogus")
 
 
 def test_microcode_pack_then_dispatch_rom_reaches_netlist():
