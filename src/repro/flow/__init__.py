@@ -59,7 +59,6 @@ Compiles are cacheable and parallelizable::
 """
 
 from repro.flow.cache import (
-    CacheBackend,
     CompileCache,
     LocalDirBackend,
     SnapshotPolicy,
@@ -121,7 +120,6 @@ from repro.flow import frontend as frontend  # noqa: F401
 
 __all__ = [
     "AigStats",
-    "CacheBackend",
     "CompileCache",
     "CompileJob",
     "CompileJobError",

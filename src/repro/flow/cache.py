@@ -13,32 +13,25 @@ stable *fingerprint* of everything that determines the result:
 * the seeded annotations, the RNG seed, and the cell library.
 
 :class:`CompileCache` layers a bounded in-memory LRU over an optional
-*backend* -- any object implementing the small :class:`CacheBackend`
-protocol (load/store raw entry bytes by fingerprint).  The built-in
-:class:`LocalDirBackend` is the historical on-disk store: pickled
-contexts written atomically (temp file + :func:`os.replace`), so a
-directory can be shared by the worker processes of
-:func:`repro.flow.parallel.compile_many` and across interpreter runs
-(``python -m repro.expts`` reuses ``.repro-cache/`` by default).
-:mod:`repro.serve.backends` adds remote and tiered backends speaking
-the compile server's HTTP cache endpoints, which is how CI, developers
-and many concurrent clients share one warm cache.  Corrupt or
-truncated entries read as misses, never as errors.
+on-disk :class:`LocalDirBackend`: pickled contexts written atomically
+(temp file + :func:`os.replace`), so a directory can be shared by the
+worker processes of :func:`repro.flow.parallel.compile_many` and across
+interpreter runs (``python -m repro.expts`` reuses ``.repro-cache/`` by
+default).  Corrupt or truncated entries read as misses, never as
+errors.
 
 The cache is thread-safe: the memory LRU and every counter are guarded
 by one lock, so a compile server's request handlers and pool callbacks
-can share a single instance (backend I/O happens outside the lock --
-backends must be individually thread-safe, which atomic entry files
-already make the local-dir one).
+can share a single instance (disk I/O happens outside the lock, which
+the atomic entry files make safe).
 
 Cached contexts must be treated as read-only: an in-memory hit returns
 the stored object itself.
 
 Entries are **pickles**: loading one executes whatever its bytes
-describe, so only point ``path`` (or a remote backend) at stores you
-trust (your own working tree, your own CI workspace, your own compile
-server).  Do not share a cache with writers you would not let run code
-on your machine.
+describe, so only point ``path`` at directories you trust (your own
+working tree, your own CI workspace).  Do not share a cache directory
+with writers you would not let run code on your machine.
 """
 
 from __future__ import annotations
@@ -84,14 +77,20 @@ FINGERPRINT_VERSION = 6
 #: restored mid-pipeline context changes: snapshot keys are derived
 #: from this version, so a bump orphans (never mis-reads) old
 #: snapshots, and the envelope's own version field rejects skewed
-#: blobs that still arrive through a shared backend.
+#: files that are still on disk.
 SNAPSHOT_VERSION = 1
 
-#: The two entry kinds a cache backend moves: completed compile results
-#: (the historical namespace) and mid-pipeline stage snapshots.  Every
-#: backend ``load``/``store`` takes the kind as its ``kind=`` keyword.
+#: The two entry kinds the on-disk store keeps: completed compile
+#: results (the historical namespace) and mid-pipeline stage snapshots.
+#: :class:`LocalDirBackend` ``load``/``store`` take the kind as their
+#: ``kind=`` keyword.
 ENTRY_KIND = "entry"
 SNAPSHOT_KIND = "snapshot"
+
+#: LRU bound of the in-memory *snapshot* layer.  Snapshots are
+#: mid-pipeline contexts -- bigger and shorter-lived than completed
+#: entries -- so they get their own, smaller bound.
+MAX_SNAPSHOT_ENTRIES = 32
 
 #: The pickle-tolerance set: anything a truncated, stale, or
 #: wrong-version entry can raise while loading.  Shared by every
@@ -286,14 +285,12 @@ def fingerprint_prefixes(
 
 
 def snapshot_key(prefix_fingerprint: str) -> str:
-    """The backend key a stage snapshot is stored under.
+    """The store key a stage snapshot is kept under.
 
     Derived (not equal): hashing the prefix fingerprint with a
     kind/version tag keeps snapshots out of the completed-entry
-    namespace even on a backend that stores both kinds together, keeps
-    the key a 64-hex digest the server's wire validation accepts, and
-    makes a :data:`SNAPSHOT_VERSION` bump orphan old snapshots
-    instead of mis-reading them.
+    namespace, and makes a :data:`SNAPSHOT_VERSION` bump orphan old
+    snapshots instead of mis-reading them.
     """
     tag = f"stage-snapshot:{SNAPSHOT_VERSION}:{prefix_fingerprint}"
     return hashlib.sha256(tag.encode()).hexdigest()
@@ -385,39 +382,15 @@ def resolve_snapshot_policy(
     return snapshots
 
 
-class CacheBackend:
-    """The protocol of a :class:`CompileCache` persistence layer.
+class LocalDirBackend:
+    """The on-disk store: one atomically-written pickle file per
+    fingerprint under a two-level fanout directory.
 
-    A backend is a key-value store of raw entry bytes keyed by
-    :func:`flow_fingerprint` digests.  It never sees the pickling --
-    serialization stays in :class:`CompileCache`, so every backend
-    (local directory, remote server, tiered combinations) moves opaque
-    blobs and the corrupt-entry tolerance lives in exactly one place.
-
-    Backends must be safe to call from multiple threads: the cache
-    invokes them outside its own lock so slow I/O never serializes
-    unrelated lookups.
-    """
-
-    def load(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
-        """The stored ``kind`` blob for ``key``, or ``None`` on a miss.
-        I/O failures read as misses, never as errors."""
-        raise NotImplementedError
-
-    def store(self, key: str, blob: bytes, kind: str = ENTRY_KIND) -> None:
-        """Persist ``blob`` under ``key`` in the ``kind`` namespace,
-        replacing any previous entry.  Concurrent writers of the same
-        key must be safe."""
-        raise NotImplementedError
-
-    def stats(self) -> dict:
-        """A JSON-safe description of the backend for ``/stats``."""
-        return {"kind": type(self).__name__}
-
-
-class LocalDirBackend(CacheBackend):
-    """The historical on-disk store: one atomically-written pickle
-    file per fingerprint under a two-level fanout directory.
+    It moves raw entry bytes only -- serialization stays in
+    :class:`CompileCache`, so the corrupt-entry tolerance lives in
+    exactly one place.  The cache calls it outside its own lock; the
+    atomic writes make that safe from any number of threads and
+    processes.
 
     Args:
         path: store directory; created on first write.
@@ -436,12 +409,16 @@ class LocalDirBackend(CacheBackend):
         return self.path / key[:2] / f"{key}.pkl"
 
     def load(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
+        """The stored ``kind`` blob for ``key``, or ``None`` on a miss.
+        I/O failures read as misses, never as errors."""
         try:
             return self.entry_file(key, kind).read_bytes()
         except OSError:
             return None
 
     def store(self, key: str, blob: bytes, kind: str = ENTRY_KIND) -> None:
+        """Persist ``blob`` under ``key`` in the ``kind`` namespace,
+        replacing any previous entry."""
         entry = self.entry_file(key, kind)
         entry.parent.mkdir(parents=True, exist_ok=True)
         # Atomic publish: concurrent workers may race on the same key,
@@ -474,6 +451,7 @@ class LocalDirBackend(CacheBackend):
             return []  # an unreadable cache directory reads as empty
 
     def stats(self) -> dict:
+        """A JSON-safe description of the store for ``/stats``."""
         counts = {ENTRY_KIND: 0, SNAPSHOT_KIND: 0}
         sizes = {ENTRY_KIND: 0, SNAPSHOT_KIND: 0}
         for kind in (ENTRY_KIND, SNAPSHOT_KIND):
@@ -560,48 +538,27 @@ class LocalDirBackend(CacheBackend):
 
 
 class CompileCache:
-    """A two-layer (memory LRU, optional backend) store of completed
-    flow contexts, keyed by :func:`flow_fingerprint`.
+    """A two-layer (memory LRU, optional on-disk store) cache of
+    completed flow contexts, keyed by :func:`flow_fingerprint`.
 
     Args:
-        path: directory of an on-disk :class:`LocalDirBackend`;
+        path: directory of the on-disk :class:`LocalDirBackend`;
             created on first write.  ``None`` keeps the cache
-            memory-only (unless ``backend`` is given).
+            memory-only.
         max_memory_entries: LRU bound of the in-memory layer.
-        backend: an explicit :class:`CacheBackend` (mutually exclusive
-            with ``path``) -- e.g. the remote or tiered backends of
-            :mod:`repro.serve.backends`.
-        max_snapshot_entries: LRU bound of the in-memory *snapshot*
-            layer.  Snapshots are mid-pipeline contexts -- bigger and
-            shorter-lived than completed entries -- so they get their
-            own, smaller bound.
     """
 
     def __init__(
         self,
         path: str | os.PathLike | None = None,
         max_memory_entries: int = 512,
-        backend: CacheBackend | None = None,
-        max_snapshot_entries: int = 32,
     ) -> None:
         if max_memory_entries < 1:
             raise ValueError(
                 f"max_memory_entries must be >= 1, got {max_memory_entries}"
             )
-        if max_snapshot_entries < 1:
-            raise ValueError(
-                f"max_snapshot_entries must be >= 1, got "
-                f"{max_snapshot_entries}"
-            )
-        if path is not None and backend is not None:
-            raise ValueError(
-                "give path (a LocalDirBackend) or backend, not both"
-            )
-        if backend is None and path is not None:
-            backend = LocalDirBackend(path)
-        self.backend = backend
+        self.backend = None if path is None else LocalDirBackend(path)
         self.max_memory_entries = max_memory_entries
-        self.max_snapshot_entries = max_snapshot_entries
         #: One lock guards the LRU dicts and every counter: server
         #: request handlers and pool callbacks share one instance, and
         #: an unguarded OrderedDict corrupts under concurrent movers.
@@ -624,12 +581,9 @@ class CompileCache:
 
     @property
     def path(self) -> Path | None:
-        """The local store directory, when the backend is one
-        (:func:`repro.flow.parallel.compile_many` ships this to worker
-        processes); ``None`` for memory-only and remote backends."""
-        if isinstance(self.backend, LocalDirBackend):
-            return self.backend.path
-        return None
+        """The store directory (:func:`repro.flow.parallel.compile_many`
+        ships this to worker processes); ``None`` when memory-only."""
+        return None if self.backend is None else self.backend.path
 
     # -- lookup -------------------------------------------------------
     @property
@@ -766,7 +720,7 @@ class CompileCache:
         with self._lock:
             self._snapshots[key] = blob
             self._snapshots.move_to_end(key)
-            while len(self._snapshots) > self.max_snapshot_entries:
+            while len(self._snapshots) > MAX_SNAPSHOT_ENTRIES:
                 self._snapshots.popitem(last=False)
 
     def stats(self) -> dict:
@@ -832,73 +786,13 @@ class CompileCache:
             return None
         return _loads(blob)
 
-    # -- raw entry bytes (the server's cache endpoints) ---------------
-    def export_blob(self, key: str, kind: str = ENTRY_KIND) -> bytes | None:
-        """The raw entry bytes for ``key``, or ``None`` on a miss.
-
-        Serves ``GET /cache/<fingerprint>`` (and, with
-        ``kind=SNAPSHOT_KIND``, ``GET /cache/snap/<key>``): backend
-        bytes are returned verbatim when available; a memory-only hit
-        is pickled on the way out, so a remote client reading through
-        this cache sees exactly what a local cache would have stored.
-        """
-        if self.backend is not None:
-            blob = self.backend.load(key, kind=kind)
-            if blob is not None:
-                return blob
-        if kind == SNAPSHOT_KIND:
-            with self._lock:
-                return self._snapshots.get(key)
-        with self._lock:
-            ctx = self._memory.get(key)
-        return None if ctx is None else _dumps(ctx)
-
-    def import_blob(
-        self, key: str, blob: bytes, kind: str = ENTRY_KIND
-    ) -> bool:
-        """Store raw entry bytes under ``key`` (``PUT
-        /cache/<fingerprint>``, or ``PUT /cache/snap/<key>`` with
-        ``kind=SNAPSHOT_KIND``).
-
-        With a backend, the bytes are persisted verbatim (no unpickle
-        on the write path -- a server absorbing write-through traffic
-        must not execute every uploaded entry).  Memory-only caches
-        must deserialize to keep the entry at all; a corrupt or
-        wrong-shaped blob is rejected.
-
-        Returns:
-            True when the entry was accepted.
-        """
-        if self.backend is not None:
-            self.backend.store(key, blob, kind=kind)
-            with self._lock:
-                if kind == SNAPSHOT_KIND:
-                    self.snapshot_stores += 1
-                else:
-                    self.stores += 1
-            return True
-        if kind == SNAPSHOT_KIND:
-            if _loads_snapshot(blob) is None:
-                return False
-            self._put_snapshot_memory(key, blob)
-            with self._lock:
-                self.snapshot_stores += 1
-            return True
-        ctx = _loads(blob)
-        if ctx is None:
-            return False
-        self.put_memory(key, ctx)
-        with self._lock:
-            self.stores += 1
-        return True
-
     # -- garbage collection -------------------------------------------
     def sweep(
         self,
         max_bytes: int | None = None,
         max_age_days: float | None = None,
     ) -> "SweepStats":
-        """Evict local-backend entries by age, then by size budget.
+        """Evict on-disk entries by age, then by size budget.
 
         ``.repro-cache/`` otherwise grows without bound: every distinct
         (design, pipeline, seed, library) fingerprint adds a pickle
@@ -921,13 +815,12 @@ class CompileCache:
         Returns:
             A :class:`SweepStats` describing what was scanned, what
             was removed, and the bytes before/after.  A memory-only
-            cache, a backend that is not a sweepable local store, a
-            missing or empty cache directory, and a ``path`` that is
-            not a directory at all return all-zero stats -- GC of
-            nothing is a no-op, never an error.  Foreign files in the
-            cache directory (anything that is not a regular ``*.pkl``
-            entry file, including stray subdirectories named like
-            entries) and files that vanish or turn unreadable
+            cache, a missing or empty cache directory, and a ``path``
+            that is not a directory at all return all-zero stats --
+            GC of nothing is a no-op, never an error.  Foreign files
+            in the cache directory (anything that is not a regular
+            ``*.pkl`` entry file, including stray subdirectories named
+            like entries) and files that vanish or turn unreadable
             mid-sweep are skipped, not crashed on.
 
         Raises:
@@ -939,10 +832,11 @@ class CompileCache:
             raise ValueError(
                 f"max_age_days must be >= 0, got {max_age_days}"
             )
-        sweeper = getattr(self.backend, "sweep", None)
-        if sweeper is None:
+        if self.backend is None:
             return SweepStats()
-        return sweeper(max_bytes=max_bytes, max_age_days=max_age_days)
+        return self.backend.sweep(
+            max_bytes=max_bytes, max_age_days=max_age_days
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = "memory" if self.backend is None else repr(self.backend.stats())
@@ -960,8 +854,8 @@ def _loads(blob: bytes) -> "FlowContext | None":
         # A truncated or stale entry is a miss, not an error.
         return None
     if not isinstance(loaded, FlowContext):
-        # A foreign blob under an entry key (e.g. a snapshot envelope
-        # uploaded to the wrong endpoint) is a miss, never a context.
+        # A foreign pickle under an entry key (e.g. a snapshot envelope
+        # copied into the wrong file) is a miss, never a context.
         return None
     return loaded
 

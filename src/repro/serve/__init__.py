@@ -17,12 +17,10 @@ Client side, any ``compile_many`` call can target a server::
 
     compile_many(jobs, cache=local_cache, server="http://ci-cache:8731")
 
-(the local cache fronts the shared one read-through/write-through),
-and every figure driver accepts ``--server URL``.  The cache itself
-is pluggable: :class:`~repro.serve.backends.RemoteBackend` shards
-entries across servers by fingerprint prefix, and
-:class:`~repro.serve.backends.TieredBackend` layers a local directory
-in front of it.
+(the local cache answers repeats without touching the network), and
+every figure driver accepts ``--server URL``.  The server's only
+network inputs are those job batches: it answers ``POST /compile``,
+``GET /stats`` and ``GET /healthz`` and nothing else.
 
 Measure it with the traffic-replay benchmark::
 
@@ -32,7 +30,6 @@ Measure it with the traffic-replay benchmark::
 and cache-hit rate land in the run store for ``repro.track diff``).
 """
 
-from repro.serve.backends import RemoteBackend, TieredBackend
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -49,10 +46,8 @@ __all__ = [
     "JobResult",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RemoteBackend",
     "ServeClient",
     "ServeError",
     "SingleFlight",
     "SpecCheckError",
-    "TieredBackend",
 ]

@@ -5,17 +5,12 @@ Usage::
     python -m repro.serve                         # loopback, port 8731
     python -m repro.serve --port 0                # ephemeral port
     python -m repro.serve --cache-dir /ci/cache --workers 8
-    python -m repro.serve --upstream http://ci-cache:8731
+    python -m repro.serve --memory-only --quiet
 
-``--upstream`` layers this server's local cache directory in front of
-one or more remote cache servers (read-through/write-through; several
-upstreams shard by fingerprint prefix), so servers themselves can
-front a bigger shared store.
-
-The server binds loopback by default.  Job payloads and cache uploads
-are pickles -- bind ``--host`` beyond loopback only on networks whose
-clients you would let run code on this machine (the same trust the
-on-disk cache already extends to its directory's writers).
+The server binds loopback by default.  Job payloads are pickles --
+bind ``--host`` beyond loopback only on networks whose clients you
+would let run code on this machine (the same trust the on-disk cache
+already extends to its directory's writers).
 """
 
 from __future__ import annotations
@@ -23,8 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.flow.cache import CompileCache, LocalDirBackend
-from repro.serve.backends import RemoteBackend, TieredBackend
+from repro.flow.cache import CompileCache
 from repro.serve.server import CompileServer
 
 
@@ -54,12 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="no disk store: serve from the in-memory LRU only",
     )
     parser.add_argument(
-        "--upstream", action="append", default=[], metavar="URL",
-        help="shared cache server(s) behind this one; the local cache "
-        "dir fronts them read-through/write-through, several upstreams "
-        "shard by fingerprint prefix (repeatable)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="bound of the compile pool (default: %(default)s)",
     )
@@ -81,22 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_cache(args) -> CompileCache:
     """The service cache an argument set describes."""
-    if args.memory_only:
-        if args.upstream:
-            return CompileCache(
-                backend=RemoteBackend(args.upstream),
-                max_memory_entries=args.max_memory_entries,
-            )
-        return CompileCache(max_memory_entries=args.max_memory_entries)
-    if args.upstream:
-        backend = TieredBackend(
-            LocalDirBackend(args.cache_dir), RemoteBackend(args.upstream)
-        )
-        return CompileCache(
-            backend=backend, max_memory_entries=args.max_memory_entries
-        )
     return CompileCache(
-        args.cache_dir, max_memory_entries=args.max_memory_entries
+        None if args.memory_only else args.cache_dir,
+        max_memory_entries=args.max_memory_entries,
     )
 
 
@@ -112,13 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         verbose=not args.quiet,
         snapshots=False if args.no_snapshots else None,
     )
-    where = (
-        "memory-only"
-        if args.memory_only and not args.upstream
-        else args.cache_dir
-    )
-    if args.upstream:
-        where += f" -> {', '.join(args.upstream)}"
+    where = "memory-only" if args.memory_only else args.cache_dir
     # The smoke tests and wrapper scripts grep this line for the
     # resolved (possibly ephemeral) URL; keep its shape stable.
     print(

@@ -15,39 +15,31 @@ and dedup flags, and the server-side wall time.
 Endpoints (stdlib :mod:`http.server`, one thread per connection,
 compiles bounded by the pool)::
 
-    POST /compile            JSON batch in, NDJSON results out
-    GET  /cache/<fp>         raw cache entry bytes (remote backends)
-    PUT  /cache/<fp>         write-through store of one entry
-    GET  /cache/snap/<key>   raw stage-snapshot bytes (prefix resume)
-    PUT  /cache/snap/<key>   write-through store of one snapshot
-    GET  /stats              JSON counters (cache, single-flight, pool)
-    GET  /healthz            liveness probe
+    POST /compile    JSON batch in, NDJSON results out
+    GET  /stats      JSON counters (cache, single-flight, pool)
+    GET  /healthz    liveness probe
 
 Results are byte-identical to local execution: contexts cross the
 wire by the same pickle serialization ``compile_many``'s process pool
 uses, and a cold compile runs the exact ``_execute_job`` code path the
 pool workers run.
 
-Trust model: job payloads and cache uploads are pickles (see
-:mod:`repro.serve.protocol`); bind to loopback (the default) or a
-network whose clients you would let run code on this machine.
+Trust model: the only pickles the server accepts from the network
+are the design payloads inside ``POST /compile`` jobs (see
+:mod:`repro.serve.protocol`); nothing a client sends is ever written
+to the cache as bytes.  Bind to loopback (the default) or a network
+whose clients you would let run code on this machine.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.flow.cache import (
-    ENTRY_KIND,
-    SNAPSHOT_KIND,
-    CompileCache,
-    resolve_snapshot_policy,
-)
+from repro.flow.cache import CompileCache, resolve_snapshot_policy
 from repro.flow.parallel import (
     CompileJob,
     CompileJobError,
@@ -67,9 +59,11 @@ from repro.serve.protocol import (
 )
 from repro.serve.singleflight import SingleFlight
 
-#: Cache keys on the wire must look like fingerprints -- anything else
-#: (path tricks, empty keys) is rejected before touching the cache.
-_FINGERPRINT_RE = re.compile(r"[0-9a-f]{64}\Z")
+#: The largest request body the server reads.  The biggest batch a
+#: figure driver sends (Fig. 9 at paper scale) is about 170 kB, so this
+#: leaves two orders of magnitude of headroom while refusing lengths
+#: that would exhaust memory.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class CompileServer:
@@ -311,16 +305,23 @@ class _Handler(BaseHTTPRequestHandler):
         self.app._count("bad_requests")
         self._send_json({"error": message}, status=status)
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        return self.rfile.read(length)
-
-    def _cache_key(self, prefix: str) -> str | None:
-        key = self.path[len(prefix):]
-        if not _FINGERPRINT_RE.match(key):
-            self._bad_request(f"{key!r} is not a fingerprint", status=404)
+    def _read_body(self) -> bytes | None:
+        """The request body, or ``None`` once a missing or malformed
+        ``Content-Length`` (400) or an oversized one (413) has been
+        answered.  The header is checked before any byte is read, so
+        it can neither stall the handler nor make it allocate."""
+        header = (self.headers.get("Content-Length") or "").strip()
+        if not (header.isascii() and header.isdigit()):
+            self._bad_request(f"bad Content-Length: {header!r}")
             return None
-        return key
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self._bad_request(
+                f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
+                status=413,
+            )
+            return None
+        return self.rfile.read(length)
 
     # -- routes -------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
@@ -329,54 +330,19 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json({"ok": True})
         elif self.path == "/stats":
             self._send_json(self.app.stats())
-        elif self.path.startswith("/cache/"):
-            # The snapshot namespace nests under /cache/, so it must
-            # route first; old servers 404 it, which remote backends
-            # read as a best-effort miss.
-            prefix, kind = self._cache_route()
-            key = self._cache_key(prefix)
-            if key is None:
-                return
-            blob = self.app.cache.export_blob(key, kind=kind)
-            if blob is None:
-                self._send_json({"error": "miss"}, status=404)
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", "application/octet-stream")
-            self.send_header("Content-Length", str(len(blob)))
-            self.end_headers()
-            self.wfile.write(blob)
         else:
             self._bad_request(f"no such endpoint: {self.path}", status=404)
-
-    def _cache_route(self) -> "tuple[str, str]":
-        if self.path.startswith("/cache/snap/"):
-            return "/cache/snap/", SNAPSHOT_KIND
-        return "/cache/", ENTRY_KIND
-
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib casing
-        self.app._count("requests")
-        if not self.path.startswith("/cache/"):
-            self._bad_request(f"no such endpoint: {self.path}", status=404)
-            return
-        prefix, kind = self._cache_route()
-        key = self._cache_key(prefix)
-        if key is None:
-            return
-        blob = self._read_body()
-        if not blob or not self.app.cache.import_blob(key, blob, kind=kind):
-            self._bad_request("rejected cache entry")
-            return
-        self._send_json({"stored": key})
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         self.app._count("requests")
         if self.path != "/compile":
             self._bad_request(f"no such endpoint: {self.path}", status=404)
             return
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            data = json.loads(self._read_body())
-            jobs = decode_batch(data)
+            jobs = decode_batch(json.loads(body))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._bad_request(f"request body is not JSON: {exc}")
             return

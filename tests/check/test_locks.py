@@ -192,7 +192,6 @@ def test_default_paths_cover_serve_and_cache():
     names = {p.name for p in default_lock_paths()}
     assert "server.py" in names
     assert "singleflight.py" in names
-    assert "backends.py" in names
     assert "cache.py" in names
 
 

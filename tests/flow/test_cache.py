@@ -340,23 +340,13 @@ def test_stats_dict_shape_and_counters(tmp_path):
     assert stats["inflight"] == 0 and stats["memory_entries"] == 1
     assert stats["backend"]["kind"] == "local-dir"
     assert stats["backend"]["entries"] == 1
+    assert cache.path == tmp_path / "cache"
+    assert CompileCache().path is None
+    assert CompileCache().stats()["backend"] is None
     import json
 
     json.dumps(stats)  # the /stats endpoint serves this verbatim
     assert "1 memory hits" in cache.stats_line()
-
-
-def test_path_and_backend_are_mutually_exclusive(tmp_path):
-    from repro.flow import LocalDirBackend
-
-    with pytest.raises(ValueError, match="both"):
-        CompileCache(
-            tmp_path / "cache", backend=LocalDirBackend(tmp_path / "other")
-        )
-    # A backend-built cache still exposes .path for worker sharing.
-    cache = CompileCache(backend=LocalDirBackend(tmp_path / "b"))
-    assert cache.path == tmp_path / "b"
-    assert CompileCache().path is None
 
 
 def test_local_dir_backend_round_trip(tmp_path):
@@ -368,28 +358,6 @@ def test_local_dir_backend_round_trip(tmp_path):
     backend.store(key, b"payload")
     assert backend.load(key) == b"payload"
     assert backend.entry_file(key).parent.name == "ab"  # prefix-sharded
-
-
-def test_export_import_blob_round_trip(tmp_path):
-    pipeline = full_pipeline()
-    source = CompileCache(tmp_path / "source")
-    ctx = pipeline.compile(build_rom_module(), cache=source)
-    [key] = [p.stem for p in (tmp_path / "source").glob("*/*.pkl")]
-    blob = source.export_blob(key)
-    assert blob is not None
-
-    target = CompileCache(tmp_path / "target")
-    target.import_blob(key, blob)
-    assert target.export_blob(key) == blob  # byte-identical hand-off
-    restored = pipeline.compile(build_rom_module(), cache=target)
-    assert target.disk_hits == 1 and target.misses == 0
-    assert restored.area.total == ctx.area.total
-
-    # A memory-only cache must unpickle to keep the entry at all, so a
-    # corrupt upload is rejected (False), never stored or raised.
-    memory_only = CompileCache()
-    assert memory_only.import_blob(key, b"garbage") is False
-    assert memory_only.import_blob(key, blob) is True
 
 
 def test_cache_is_thread_safe_under_concurrent_traffic(tmp_path):

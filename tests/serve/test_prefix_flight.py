@@ -1,22 +1,11 @@
-"""Prefix-aware single-flight and the server's snapshot endpoints."""
+"""Prefix-aware single-flight, alone and inside the server."""
 
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
-from repro.flow import (
-    CompileCache,
-    CompileJob,
-    PassManager,
-    SnapshotPolicy,
-    StageSnapshot,
-    snapshot_key,
-)
-from repro.flow.cache import SNAPSHOT_VERSION, _dumps
-from repro.flow.core import FlowContext
+from repro.flow import CompileCache, CompileJob, PassManager, SnapshotPolicy
 from repro.rtl.builder import ModuleBuilder
 from repro.serve import CompileServer, ServeClient, SingleFlight
 
@@ -166,44 +155,3 @@ def test_server_batch_resumes_shared_prefix(server):
         local = PassManager.parse(spec).compile(module=module, seed=7)
         assert record_signature(results[key]) == record_signature(local)
         assert results[key].area.total == local.area.total
-
-
-def test_snapshot_endpoint_roundtrip(server):
-    pipeline = PassManager.parse("elaborate,optimize")
-    module = build_rom_module()
-    fp = pipeline.prefix_fingerprints(module=module, seed=7)[0]
-    ctx = FlowContext(module=module, seed=7)
-    pipeline.passes[0].execute(ctx)
-    blob = _dumps(
-        StageSnapshot(
-            version=SNAPSHOT_VERSION,
-            prefix_spec="elaborate",
-            passes_done=1,
-            ctx=ctx,
-        )
-    )
-    key = snapshot_key(fp)
-    url = f"{server.url}/cache/snap/{key}"
-
-    # A missing snapshot 404s (the best-effort miss old servers give).
-    with pytest.raises(urllib.error.HTTPError) as missing:
-        urllib.request.urlopen(url)
-    assert missing.value.code == 404
-
-    put = urllib.request.Request(url, data=blob, method="PUT")
-    with urllib.request.urlopen(put) as response:
-        assert response.status in (200, 201, 204)
-    with urllib.request.urlopen(url) as response:
-        assert response.read() == blob
-
-    # The stored snapshot is live: the server's own cache restores it.
-    restored = server.cache.get_snapshot(fp)
-    assert restored is not None
-    assert restored.aig.canonical_hash() == ctx.aig.canonical_hash()
-
-
-def test_snapshot_endpoint_rejects_malformed_keys(server):
-    for bad in ("nothex", "abc", "../../etc/passwd"):
-        with pytest.raises(urllib.error.HTTPError) as exc:
-            urllib.request.urlopen(f"{server.url}/cache/snap/{bad}")
-        assert exc.value.code == 404

@@ -1,16 +1,25 @@
 """The compile server end to end: identity with local execution,
-caching, single-flight dedup, error paths, and the cache endpoints."""
+caching, single-flight dedup, and error paths."""
 
 import json
 import pickle
+import socket
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
-from repro.flow import CompileCache, CompileJob, CompileJobError, compile_many
-from repro.serve import CompileServer, RemoteBackend, ServeClient
+from repro.flow import (
+    CompileCache,
+    CompileJob,
+    CompileJobError,
+    PassManager,
+    compile_many,
+    flow_fingerprint,
+)
+from repro.serve import CompileServer, ServeClient
 from repro.rtl.builder import ModuleBuilder
 
 
@@ -87,7 +96,7 @@ def test_warm_batch_is_served_without_compiling(server, client):
     # Repeated fetches of one warm entry are byte-identical: the wire
     # context pickles exactly like the server's stored entry.
     fingerprint = detailed[0].fingerprint
-    blob = server.cache.export_blob(fingerprint)
+    blob = server.cache.backend.load(fingerprint)
     assert blob is not None
     assert pickle.loads(blob).area.total == detailed[0].ctx.area.total
 
@@ -166,47 +175,25 @@ def test_compile_many_local_cache_fronts_the_server(server):
         assert second[key] is first[key]
 
 
-def test_cache_endpoints_round_trip(server, client):
-    key = "ab" * 32
-    url = f"{server.url}/cache/{key}"
-    with pytest.raises(urllib.error.HTTPError) as err:
-        urllib.request.urlopen(url)
-    assert err.value.code == 404
-
-    request = urllib.request.Request(url, data=b"blob-bytes", method="PUT")
-    with urllib.request.urlopen(request) as response:
-        assert json.loads(response.read())["stored"] == key
-    with urllib.request.urlopen(url) as response:
-        assert response.read() == b"blob-bytes"  # verbatim bytes
-
-    # Keys that are not fingerprints never touch the cache.
-    bad = urllib.request.Request(
-        f"{server.url}/cache/../escape", data=b"x", method="PUT"
-    )
-    with pytest.raises(urllib.error.HTTPError):
-        urllib.request.urlopen(bad)
-
-
-def test_remote_backend_reads_and_writes_through_the_server(server):
-    backend = RemoteBackend(server.url)
-    key = "cd" * 32
-    assert backend.load(key) is None
-    backend.store(key, b"entry")
-    assert backend.load(key) == b"entry"
-    stats = backend.stats()
-    assert stats["loads"] == 2 and stats["load_hits"] == 1
-    assert stats["store_calls"] == 1 and stats["store_errors"] == 0
-
-
-def test_remote_backend_degrades_to_misses_when_unreachable():
-    backend = RemoteBackend("http://127.0.0.1:9", timeout=0.2)
-    assert backend.load("ef" * 32) is None
-    backend.store("ef" * 32, b"entry")  # must not raise
-    stats = backend.stats()
-    assert stats["load_errors"] == 1 and stats["store_errors"] == 1
+def raw_post_status(url, content_length):
+    """POST /compile with a hand-written ``Content-Length`` header and
+    no body; the status code of the reply."""
+    address = urllib.parse.urlsplit(url)
+    with socket.create_connection(
+        (address.hostname, address.port), timeout=5.0
+    ) as sock:
+        sock.sendall(
+            f"POST /compile HTTP/1.1\r\nHost: {address.hostname}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
 
 
 def test_bad_requests_are_rejected_cleanly(server, client):
+    before = client.stats()["bad_requests"]
     request = urllib.request.Request(
         f"{server.url}/compile", data=b"not json", method="POST"
     )
@@ -225,27 +212,43 @@ def test_bad_requests_are_rejected_cleanly(server, client):
         urllib.request.urlopen(request)
     assert err.value.code == 400
     assert "version" in json.loads(err.value.read())["error"]
-    assert client.stats()["bad_requests"] >= 2
+    # A bogus Content-Length is refused before any body byte is read:
+    # trusted, -1 reads until the client hangs up, a non-number raises
+    # in the handler, and a huge length allocates that much.
+    assert raw_post_status(server.url, "-1") == 400
+    assert raw_post_status(server.url, "abc") == 400
+    assert raw_post_status(server.url, "99999999999") == 413
+    assert client.stats()["bad_requests"] - before == 5
 
 
-def test_tiered_backend_promotes_far_hits(tmp_path):
-    from repro.flow import LocalDirBackend
-    from repro.serve import TieredBackend
-
-    near = LocalDirBackend(tmp_path / "near")
-    far = LocalDirBackend(tmp_path / "far")
-    tiered = TieredBackend(near, far)
-    key = "12" * 32
-
-    assert tiered.load(key) is None
-    far.store(key, b"shared-entry")
-    assert tiered.load(key) == b"shared-entry"  # far hit...
-    assert near.load(key) == b"shared-entry"  # ...promoted near
-    assert tiered.load(key) == b"shared-entry"  # now a near hit
-    stats = tiered.stats()
-    assert stats["near_hits"] == 1 and stats["far_hits"] == 1
-    assert stats["promotions"] == 1
-
-    tiered.store("34" * 32, b"write-through")
-    assert near.load("34" * 32) == b"write-through"
-    assert far.load("34" * 32) == b"write-through"
+def test_cache_uploads_are_refused(server, client):
+    """No client can plant bytes in the cache: a result uploaded under
+    another job's fingerprint is refused, and that job still compiles
+    to its own netlist."""
+    spec = "elaborate,optimize,map,size"
+    job_a = CompileJob(
+        "a", spec, module=build_rom_module(17, name="upload_a"), seed=41
+    )
+    job_b = CompileJob(
+        "b", spec, module=build_rom_module(19, name="upload_b"), seed=41
+    )
+    local = compile_many([job_a, job_b], workers=1)
+    assert local["a"].area.total != local["b"].area.total
+    fp_b = flow_fingerprint(
+        PassManager.parse(spec).spec(), module=job_b.module, seed=41
+    )
+    planted = pickle.dumps(local["a"])
+    for url in (
+        f"{server.url}/cache/{fp_b}",
+        f"{server.url}/cache/snap/{fp_b}",
+    ):
+        put = urllib.request.Request(url, data=planted, method="PUT")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(put)
+        assert err.value.code == 501
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(url)
+        assert err.value.code == 404
+    [result] = client.compile_detailed([job_b])
+    assert result.fingerprint == fp_b and not result.cache_hit
+    assert result.ctx.area.total == local["b"].area.total

@@ -46,10 +46,14 @@ def test_concurrent_callers_share_exactly_one_execution():
     for t in threads:
         t.start()
     started.wait(timeout=10.0)
-    # Wait for the leader to be inside fn, so every other caller that
-    # arrives meanwhile must follow rather than lead.
+    # Hold the leader inside fn until all seven other callers have
+    # joined its flight: released any earlier, a caller still on its
+    # way to do() would find no flight and lead a second execution.
     deadline = time.monotonic() + 10.0
-    while not calls and time.monotonic() < deadline:
+    while (
+        flights.stats.to_json()["deduped"] < 7
+        and time.monotonic() < deadline
+    ):
         time.sleep(0.001)
     release.set()
     for t in threads:
