@@ -16,6 +16,7 @@ trivially reducible AND node.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 
 CONST0 = 0
@@ -168,10 +169,10 @@ class AIG:
     def _new_node(self, fanin0: int = _NO_FANIN, fanin1: int = _NO_FANIN) -> int:
         self._nodes.fanin0.append(fanin0)
         self._nodes.fanin1.append(fanin1)
-        return len(self._nodes) - 1
+        return len(self._nodes.fanin0) - 1
 
     def _check_lit(self, lit: int) -> None:
-        if lit < 0 or lit_node(lit) >= len(self._nodes):
+        if lit < 0 or lit_node(lit) >= len(self._nodes.fanin0):
             raise ValueError(f"literal {lit} references an unknown node")
 
     # ------------------------------------------------------------------
@@ -235,6 +236,22 @@ class AIG:
         return [lit for _, lit in self._pos] + [
             latch.next_lit for latch in self._latches
         ]
+
+    def structure_bytes(self) -> tuple[bytes, bytes, bytes, bytes]:
+        """Both fanin arrays, the combinational inputs and the
+        combinational outputs, as raw bytes.
+
+        Two graphs give equal bytes exactly when they have the same
+        node ids with the same fanins, sources and outputs; names and
+        reset behaviour are left out.  Unlike :meth:`canonical_hash`,
+        a renumbered graph gives different bytes.
+        """
+        return (
+            array("q", self._nodes.fanin0).tobytes(),
+            array("q", self._nodes.fanin1).tobytes(),
+            array("q", self.combinational_inputs()).tobytes(),
+            array("q", self.combinational_outputs()).tobytes(),
+        )
 
     def topo_order(self, roots: list[int] | None = None) -> list[int]:
         """AND nodes in topological order (fanins first).

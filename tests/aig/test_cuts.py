@@ -2,10 +2,14 @@
 definitions."""
 
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
+from repro.aig import cuts as cuts_module
 from repro.aig.cuts import Cut, CutSet, enumerate_cuts, expand_cut
 from repro.aig.graph import AIG, lit_node, lit_sign
 from repro.aig.rewrite import rewrite
@@ -78,8 +82,8 @@ def reference_cuts(aig, k, max_cuts):
     first pair's table for each new leaf set, sort by (size, leaves),
     drop cuts that contain a kept cut's leaves, keep the first
     ``max_cuts`` and append the trivial cut."""
-    cuts = {source: [Cut((source,), 0b10)] for source in aig.combinational_inputs()}
-    cuts[0] = [Cut((), 0)]
+    cuts = {source: (Cut((source,), 0b10),) for source in aig.combinational_inputs()}
+    cuts[0] = (Cut((), 0),)
     for node in aig.topo_order():
         f0, f1 = aig.fanins(node)
         merged = {}
@@ -96,7 +100,7 @@ def reference_cuts(aig, k, max_cuts):
             if any(set(other.leaves) <= set(cut.leaves) for other in kept):
                 continue
             kept.append(cut)
-        cuts[node] = kept[:max_cuts] + [Cut((node,), 0b10)]
+        cuts[node] = tuple(kept[:max_cuts]) + (Cut((node,), 0b10),)
     return cuts
 
 
@@ -182,3 +186,180 @@ def test_cut_set_rejects_max_cuts_below_one(max_cuts):
         enumerate_cuts(aig, max_cuts=max_cuts)
     with pytest.raises(ValueError, match="max_cuts must be >= 1"):
         rewrite(aig, max_cuts=max_cuts)
+
+
+@pytest.fixture
+def compute_calls(monkeypatch):
+    """Start with no remembered cut set, and record the graph of every
+    enumeration."""
+    monkeypatch.setattr(cuts_module, "_last", None)
+    calls = []
+    compute = CutSet._compute
+
+    def counted(self):
+        calls.append(self.aig)
+        compute(self)
+
+    monkeypatch.setattr(CutSet, "_compute", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_remembered_cut_set_equals_a_fresh_enumeration(k, compute_calls):
+    """A repeat request, here on an unpickled copy as a resumed compile
+    sees it, is answered without enumerating and with the same cuts."""
+    rng = random.Random(2011 + k)
+    aig = random_cut_aig(rng)
+    for max_cuts in (1, 2, 6, 8):
+        want = reference_cuts(aig, k, max_cuts)
+        fresh = CutSet(aig, k=k, max_cuts=max_cuts)
+        calls = len(compute_calls)
+        again = CutSet(pickle.loads(pickle.dumps(aig)), k=k, max_cuts=max_cuts)
+        assert len(compute_calls) == calls
+        assert again.cuts == fresh.cuts == want
+    assert len(compute_calls) == 4
+
+
+def renumbered_pair():
+    """Two graphs that differ only in the order their two ANDs were
+    created: equal canonical hashes, different node ids."""
+    graphs = []
+    for order in ((0, 1), (1, 0)):
+        aig = AIG()
+        xs = [aig.add_pi(f"x{index}") for index in range(4)]
+        fanins = [(xs[0], xs[1]), (xs[2], aig.not_(xs[3]))]
+        ands = {index: aig.and_(*fanins[index]) for index in order}
+        aig.add_po("f", ands[0])
+        aig.add_po("g", ands[1])
+        graphs.append(aig)
+    return graphs
+
+
+def test_a_renumbered_graph_gets_cuts_over_its_own_nodes(compute_calls):
+    aig, renumbered = renumbered_pair()
+    assert aig.canonical_hash() == renumbered.canonical_hash()
+    assert aig.pos != renumbered.pos
+    CutSet(aig, k=4, max_cuts=6)
+    cuts = CutSet(renumbered, k=4, max_cuts=6)
+    assert compute_calls == [aig, renumbered]
+    assert cuts.cuts == reference_cuts(renumbered, 4, 6)
+
+
+def latch_aig():
+    """A graph with one latch and an AND nothing reads yet."""
+    aig = AIG()
+    xs = [aig.add_pi(f"x{index}") for index in range(3)]
+    q = aig.add_latch("q")
+    live = aig.and_(aig.and_(xs[0], xs[1]), q)
+    aig.set_latch_next(q, live)
+    aig.add_po("f", aig.not_(live))
+    dead = aig.and_(xs[2], aig.not_(q))
+    return aig, xs, q, live, dead
+
+
+@pytest.mark.parametrize("change", ["add_po", "set_latch_next", "and_"])
+def test_a_graph_changed_after_enumeration_misses(change, compute_calls):
+    aig, xs, q, live, dead = latch_aig()
+    CutSet(aig, k=4, max_cuts=6)
+    if change == "add_po":
+        aig.add_po("g", dead)
+    elif change == "set_latch_next":
+        aig.set_latch_next(q, dead)
+    else:
+        aig.add_po("g", aig.and_(live, xs[2]))
+    cuts = CutSet(aig, k=4, max_cuts=6)
+    assert compute_calls == [aig, aig]
+    assert cuts.cuts == reference_cuts(aig, 4, 6)
+
+
+def test_a_set_above_the_bound_is_never_remembered(compute_calls, monkeypatch):
+    """It is not kept, and the set remembered before it is dropped."""
+    small, _ = renumbered_pair()
+    aig = random_cut_aig(random.Random(2013))
+    size = sum(map(len, reference_cuts(aig, 4, 6).values()))
+    monkeypatch.setattr(cuts_module, "CUT_MEMO_MAX_CUTS", size - 1)
+    CutSet(small, k=4, max_cuts=6)
+    assert cuts_module._last is not None
+    CutSet(aig, k=4, max_cuts=6)
+    assert cuts_module._last is None
+    CutSet(aig, k=4, max_cuts=6)
+    assert len(compute_calls) == 3
+    monkeypatch.setattr(cuts_module, "CUT_MEMO_MAX_CUTS", size)
+    CutSet(aig, k=4, max_cuts=6)
+    CutSet(aig, k=4, max_cuts=6)
+    assert len(compute_calls) == 4
+
+
+def test_per_node_cuts_are_immutable(compute_calls):
+    aig = random_cut_aig(random.Random(2014))
+    cuts = CutSet(aig, k=4, max_cuts=6)
+    node = aig.topo_order()[-1]
+    assert isinstance(cuts[node], tuple)
+    with pytest.raises(TypeError):
+        cuts.cuts[node] = ()
+    with pytest.raises(TypeError):
+        del cuts.cuts[node]
+    with pytest.raises(AttributeError):
+        cuts[node][0].table = 0
+
+
+def test_threads_sharing_the_remembered_set_get_serial_results():
+    """Four threads, each asking twice in a row for the cuts of one of
+    three graphs in turn: every answer is the serial one."""
+    rng = random.Random(2015)
+    graphs = [random_cut_aig(rng, num_ands=80) for _ in range(3)]
+    want = [reference_cuts(aig, 4, 6) for aig in graphs]
+    wrong = []
+    finished = []
+
+    def work(offset):
+        for step in range(24):
+            index = (offset + step // 2) % len(graphs)
+            if CutSet(graphs[index], k=4, max_cuts=6).cuts != want[index]:
+                wrong.append((offset, step))
+        finished.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(offset,)) for offset in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert wrong == []
+
+
+def test_sweep_on_a_warm_cut_memo_matches_a_cold_run(
+    tmp_path, monkeypatch, compute_calls
+):
+    """``compile_many`` twice in one process, the second time on a fresh
+    compile cache, gives the graphs and areas of a run that never
+    reuses a cut set."""
+    from repro.expts.techsweep import build_jobs
+    from repro.flow import CompileCache, compile_many
+
+    jobs = build_jobs("small")
+
+    def run(name):
+        del compute_calls[:]
+        results = compile_many(jobs, cache=CompileCache(tmp_path / name))
+        return {
+            key: (ctx.aig.canonical_hash(), ctx.area.total)
+            for key, ctx in results.items()
+        }
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cuts_module, "CUT_MEMO_MAX_CUTS", 0)
+        cold = run("cold")
+    cold_calls = len(compute_calls)
+    assert cuts_module._last is None
+    assert run("first") == cold
+    assert len(compute_calls) < cold_calls
+    assert run("second") == cold
