@@ -2,13 +2,10 @@
 
 These track the cost of the passes the figure-level benchmarks are
 built from, so a performance regression is attributable.  The
-workload builders and registry-covering pipelines are shared with
-``python -m repro.track record bench`` (:mod:`repro.track.bench`);
-set ``REPRO_RUN_STORE=<dir>`` to additionally persist this run's
-per-pass timings into that run store for cross-commit diffing.
+workload builders and registry-covering pipelines live in
+``tests/helpers.py``.
 """
 
-import os
 import random
 
 import pytest
@@ -18,14 +15,14 @@ from repro.aig.rewrite import tt_sweep
 from repro.flow import PASS_REGISTRY
 from repro.sat.equiv import check_combinational_equivalence
 from repro.tables.isop import isop
-from repro.track.bench import (
+from repro.tech.mapper import map_aig
+from tests.helpers import (
     AIG_LEAF_PASSES,
     annotated_fsm_module,
     bench_pipelines,
     build_table_aig,
     frontend_inputs,
 )
-from repro.tech.mapper import map_aig
 
 
 @pytest.fixture(scope="module")
@@ -82,20 +79,6 @@ def test_bench_sat_equivalence(benchmark, table_aig):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     assert result
-
-
-def _maybe_store_run(contexts) -> None:
-    """Persist this run's per-pass totals when ``REPRO_RUN_STORE`` is
-    set (CI exports it so every commit's bench lands in the store)."""
-    store_dir = os.environ.get("REPRO_RUN_STORE")
-    if not store_dir:
-        return
-    from repro.track.bench import store_bench_record
-
-    store_bench_record(
-        contexts, store_dir,
-        commit=os.environ.get("REPRO_RUN_COMMIT", "HEAD"),
-    )
 
 
 def test_bench_each_registered_pass_individually(benchmark, table_aig):
@@ -165,4 +148,3 @@ def test_bench_each_registered_pass_individually(benchmark, table_aig):
     ]
     assert ctrl_records  # the frontend pipelines really ran
     assert all(record.ctrl_before is not None for record in ctrl_records)
-    _maybe_store_run(contexts)

@@ -5,7 +5,7 @@ Subcommands::
     spec SPEC        typecheck one pipeline spec (optionally against a
                      declared input stage / IR kind / bindings)
     specs            lint every shipped spec: the figure drivers, the
-                     techsweep/replay job grid, and the default flow
+                     techsweep job grid, and the default flow
     ir               lint the techsweep IR corpus (FSMs, truth tables)
     dataflow         abstract-interpretation analyses over the IR
                      corpus (reachability, constants, dead logic --

@@ -13,8 +13,6 @@ from repro.expts.fig5_tables import run_fig5
 from repro.expts.fig6_fsm import run_fig6
 from repro.expts.fig8_stateprop import run_fig8
 from repro.expts.fig9_pctrl import run_fig9
-from repro.expts.prefixgrid import run_prefixgrid
-from repro.expts.replay import run_replay
 from repro.expts.techsweep import run_techsweep
 
 __all__ = [
@@ -24,7 +22,5 @@ __all__ = [
     "run_fig6",
     "run_fig8",
     "run_fig9",
-    "run_prefixgrid",
-    "run_replay",
     "run_techsweep",
 ]

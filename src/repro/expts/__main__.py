@@ -7,7 +7,6 @@ Usage::
     python -m repro.expts fig6 --jobs 4            # process fan-out
     python -m repro.expts fig6 --pipeline "fsm_infer,honour_annotations,encode,elaborate,optimize,map,size{clock_period_ns=20.0}"
     python -m repro.expts techsweep --jobs 2       # recipes x libraries
-    python -m repro.expts replay --clients 4       # serve benchmark
     python -m repro.expts fig6 --server http://127.0.0.1:8731
 
 Synthesis results are fingerprint-cached under ``--cache-dir``
@@ -15,9 +14,7 @@ Synthesis results are fingerprint-cached under ``--cache-dir``
 the same scale performs zero synthesis compiles; ``--no-cache``
 disables this.  ``--server`` routes cache misses through a running
 ``python -m repro.serve`` compile server instead of compiling locally
-(the local cache still fronts it); ``replay`` is the traffic-replay
-benchmark against that service (self-hosting one when no ``--server``
-is given).
+(the local cache still fronts it).
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ from repro.expts.fig5_tables import run_fig5
 from repro.expts.fig6_fsm import run_fig6
 from repro.expts.fig8_stateprop import run_fig8
 from repro.expts.fig9_pctrl import run_fig9
-from repro.expts.prefixgrid import run_prefixgrid
-from repro.expts.replay import run_replay
 from repro.expts.techsweep import run_techsweep
 
 _RUNNERS = {
@@ -42,13 +37,7 @@ _RUNNERS = {
     "fig8": run_fig8,
     "fig9": run_fig9,
     "techsweep": run_techsweep,
-    "replay": run_replay,
-    "prefixgrid": run_prefixgrid,
 }
-
-#: Figures that persist a run-store record directly (the others
-#: record through ``python -m repro.track``).
-_STORED_FIGURES = ("techsweep", "replay", "prefixgrid")
 
 #: Figures whose (single) default pipeline --pipeline may replace;
 #: fig8/fig9 compare several flows per design, so an override would
@@ -103,35 +92,12 @@ def main(argv: list[str] | None = None) -> int:
         "--no-snapshots", action="store_true",
         help="disable stage snapshots and prefix-resume for this run "
         "(sets REPRO_SNAPSHOTS=0 for the figure drivers and their "
-        "workers; prefixgrid's pinned comparison is unaffected)",
-    )
-    parser.add_argument(
-        "--store-dir", default=".repro-runs", metavar="DIR",
-        help="run store the techsweep/replay drivers record into "
-        "(default: %(default)s; other figures record via "
-        "python -m repro.track)",
-    )
-    parser.add_argument(
-        "--no-store", action="store_true",
-        help="skip the techsweep/replay run-store record (e.g. when "
-        "running from a dirty worktree whose results should not be "
-        "keyed to the HEAD commit)",
+        "workers)",
     )
     parser.add_argument(
         "--server", default=None, metavar="URL",
         help="base URL of a running compile server (python -m "
-        "repro.serve); cache misses compile there instead of locally, "
-        "and replay benchmarks it instead of self-hosting",
-    )
-    parser.add_argument(
-        "--clients", type=int, default=3, metavar="N",
-        help="replay only: concurrent client threads (default: "
-        "%(default)s)",
-    )
-    parser.add_argument(
-        "--jobs-per-client", type=int, default=6, metavar="M",
-        help="replay only: jobs each replay client submits (default: "
-        "%(default)s)",
+        "repro.serve); cache misses compile there instead of locally",
     )
     args = parser.parse_args(argv)
 
@@ -146,12 +112,6 @@ def main(argv: list[str] | None = None) -> int:
             )
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
-    if args.clients < 1:
-        parser.error(f"--clients must be >= 1, got {args.clients}")
-    if args.jobs_per_client < 1:
-        parser.error(
-            f"--jobs-per-client must be >= 1, got {args.jobs_per_client}"
-        )
     workers = args.jobs if args.jobs > 0 else default_workers()
     cache = None if args.no_cache else CompileCache(args.cache_dir)
     if args.no_snapshots:
@@ -170,14 +130,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         if name in _PIPELINE_FIGURES and args.pipeline is not None:
             kwargs["pipeline"] = args.pipeline
-        if name in _STORED_FIGURES:
-            # These drivers' purpose is cross-run comparison, so they
-            # persist their records directly (the other figures record
-            # through python -m repro.track).
-            kwargs["store_dir"] = None if args.no_store else args.store_dir
-        if name == "replay":
-            kwargs["clients"] = args.clients
-            kwargs["jobs_per_client"] = args.jobs_per_client
         started = time.time()
         print(
             f"[{name}] running at scale={args.scale} "

@@ -29,7 +29,6 @@ from repro.expts.common import (
     ExperimentPoint,
     ExperimentResult,
     format_table,
-    sizing_meta,
 )
 from repro.expts.scatter import render_scatter
 from repro.flow import CompileJob, PassManager, compile_many, optimize_loop
@@ -146,7 +145,6 @@ def run_fig5(
             )
         )
     compiled = compile_many(jobs, workers=workers, cache=cache, server=server)
-    result.absorb_flow(compiled.values())
     result.meta["pipeline"] = body
     result.meta["clock_period_ns"] = clock_period_ns
 
@@ -184,21 +182,18 @@ def run_fig5(
         tight_compiled = compile_many(
             tight_jobs, workers=workers, cache=cache, server=server
         )
-        result.absorb_flow(tight_compiled.values())
 
     rows = []
     for depth, width, seed in grid:
         label = f"d{depth}w{width}s{seed}"
-        table_ctx = compiled[(label, "table")]
-        table_area = table_ctx.area.combinational
+        table_area = compiled[(label, "table")].area.combinational
         sop_area = compiled[(label, "sop")].area.combinational
         if sop_area <= 0 or table_area <= 0:
             continue  # degenerate (constant) function
         result.points.append(
             ExperimentPoint(
                 "table-based", sop_area, table_area, label,
-                {"depth": depth, "width": width, "seed": seed,
-                 **sizing_meta(table_ctx)},
+                {"depth": depth, "width": width, "seed": seed},
             )
         )
         rows.append(
@@ -223,8 +218,7 @@ def run_fig5(
                 tight_sop.area.combinational,
                 tight_table.area.combinational,
                 label,
-                {"depth": depth, "width": width, "seed": seed,
-                 **sizing_meta(tight_table)},
+                {"depth": depth, "width": width, "seed": seed},
             )
         )
     result.tables["Area per design pair (um^2)"] = format_table(

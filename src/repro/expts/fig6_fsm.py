@@ -27,7 +27,6 @@ from repro.expts.common import (
     ExperimentPoint,
     ExperimentResult,
     format_table,
-    sizing_meta,
 )
 from repro.expts.scatter import render_scatter
 from repro.flow import (
@@ -171,7 +170,6 @@ def run_fig6(
             )
         )
     compiled = compile_many(jobs, workers=workers, cache=cache, server=server)
-    result.absorb_flow(compiled.values())
     result.meta["pipeline"] = body
     result.meta["lowerings"] = dict(lowerings)
     result.meta["clock_period_ns"] = clock_period_ns
@@ -180,20 +178,18 @@ def run_fig6(
     for m, n, s, seed in grid:
         label = f"m{m}n{n}s{s}x{seed}"
         case_area = compiled[(label, "case")].area.total
-        regular_ctx = compiled[(label, "regular")]
-        annotated_ctx = compiled[(label, "annotated")]
-        regular_area = regular_ctx.area.total
-        annotated_area = annotated_ctx.area.total
+        regular_area = compiled[(label, "regular")].area.total
+        annotated_area = compiled[(label, "annotated")].area.total
         result.points.append(
             ExperimentPoint(
                 "regular", case_area, regular_area, label,
-                {"m": m, "n": n, "s": s, **sizing_meta(regular_ctx)},
+                {"m": m, "n": n, "s": s},
             )
         )
         result.points.append(
             ExperimentPoint(
                 "state annotated", case_area, annotated_area,
-                label, {"m": m, "n": n, "s": s, **sizing_meta(annotated_ctx)},
+                label, {"m": m, "n": n, "s": s},
             )
         )
         rows.append(

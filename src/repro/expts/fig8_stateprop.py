@@ -24,7 +24,6 @@ from repro.expts.common import (
     ExperimentPoint,
     ExperimentResult,
     format_table,
-    sizing_meta,
 )
 from repro.expts.fig7_design import FLOP_STYLES, build_fig7, onehot_values
 from repro.expts.scatter import render_scatter
@@ -164,7 +163,6 @@ def run_fig8(
         # they may still print it to stderr, which is harmless noise.
         warnings.simplefilter("ignore")
         compiled = compile_many(jobs, workers=workers, cache=cache, server=server)
-    result.absorb_flow(compiled.values())
     result.meta["pipelines"] = {
         "regular": regular,
         "retimed": retimed,
@@ -177,14 +175,12 @@ def run_fig8(
         for style in FLOP_STYLES:
             for treatment in treatments_for(n, style):
                 direct_area = compiled[(n, style, treatment, "direct")].area.total
-                generic_ctx = compiled[(n, style, treatment, "generic")]
-                generic_area = generic_ctx.area.total
+                generic_area = compiled[(n, style, treatment, "generic")].area.total
                 series = f"{style}/{treatment}"
                 result.points.append(
                     ExperimentPoint(
                         series, direct_area, generic_area, f"n{n}",
-                        {"n": n, "style": style, "treatment": treatment,
-                         **sizing_meta(generic_ctx)},
+                        {"n": n, "style": style, "treatment": treatment},
                     )
                 )
                 rows.append(

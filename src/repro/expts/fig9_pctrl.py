@@ -124,7 +124,6 @@ def run_fig9(
         f"lines, {1 << params.ucode_addr_bits}-entry microcode); "
         f"5 ns clock, TSMC-90nm-class library.",
     )
-    result.absorb_flow(compiled.values())
     result.meta["pipelines"] = {
         "/".join(job.key): (
             job.pipeline if isinstance(job.pipeline, str)

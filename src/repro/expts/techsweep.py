@@ -25,7 +25,6 @@ from repro.expts.common import (
     ExperimentPoint,
     ExperimentResult,
     format_table,
-    sizing_meta,
 )
 from repro.flow import CompileJob, PassManager, compile_many
 from repro.flow.passes import registered_library_names
@@ -68,9 +67,9 @@ def _designs(scale: str) -> dict[str, tuple[str, object]]:
         "fsm_encode{realize=case},fsm_infer,honour_annotations,encode"
     )
     designs: dict[str, tuple[str, object]] = {}
-    # Seeds derive from the shape labels, not built-in hash(): stored
-    # techsweep records must describe identical designs under every
-    # interpreter version, or cross-commit diffs compare random noise.
+    # Seeds derive from the shape labels, not built-in hash(): the
+    # sweep must draw identical designs under every interpreter
+    # version, or its pinned table would not hold.
     for inputs, outputs, states in fsm_shapes:
         label = f"fsm_m{inputs}n{outputs}s{states}"
         designs[label] = (
@@ -119,10 +118,9 @@ def build_jobs(
     """The sweep's complete job grid (designs x recipes x libraries),
     keyed ``(design, recipe, library)``.
 
-    Shared between :func:`run_techsweep` and the traffic-replay
-    benchmark (:mod:`repro.expts.replay`), which samples its client
-    traces from this grid -- the replay traffic is real figure-driver
-    work, not synthetic filler.
+    Shared between :func:`run_techsweep` and the prefix-resume pin in
+    ``tests/flow/test_prefix_planner.py``, which compiles this grid
+    cold with and without stage snapshots.
     """
     libraries = resolve_libraries(libraries)
     jobs = []
@@ -145,8 +143,6 @@ def run_techsweep(
     cache=None,
     server: "str | None" = None,
     libraries: tuple[str, ...] | None = None,
-    store_dir=None,
-    commit: str = "HEAD",
 ) -> ExperimentResult:
     """Fan every design through recipes x libraries and report.
 
@@ -158,10 +154,6 @@ def run_techsweep(
             perform zero compiles.
         libraries: library names to explore; defaults to every
             registered library (``map{library=...}`` names).
-        store_dir: when given, the result is additionally persisted
-            into the run store at this directory under ``commit``
-            (resolved like ``python -m repro.track record``).
-        commit: commit ref or label for the stored record.
 
     Returns:
         An :class:`ExperimentResult` with one series per explored
@@ -183,7 +175,6 @@ def run_techsweep(
 
     jobs = build_jobs(scale, clock_period_ns, libraries)
     compiled = compile_many(jobs, workers=workers, cache=cache, server=server)
-    result.absorb_flow(compiled.values())
 
     rows = []
     for label in designs:
@@ -213,7 +204,6 @@ def run_techsweep(
                             "design": label,
                             "recipe": recipe_name,
                             "library": library,
-                            **sizing_meta(ctx),
                         },
                     )
                 )
@@ -236,9 +226,6 @@ def run_techsweep(
         f"resub+dc recipe removes {classic_ands - ablated_ands} more "
         f"AND nodes than the classic recipe across the sweep"
     )
-
-    if store_dir is not None:
-        _store(result, store_dir, commit, scale, libraries)
     return result
 
 
@@ -251,42 +238,3 @@ def _recipe_and_total(compiled, recipe_name: str) -> int:
             total += ctx.aig.num_ands
     return total
 
-
-def swept_libraries_hash(libraries: tuple[str, ...]) -> str:
-    """One hash covering *every* library the sweep mapped against.
-
-    The record's ``library`` field is what ``diff_runs`` checks before
-    comparing two commits' areas; hashing only the default library
-    would leave the guard blind to edits of the non-default kits this
-    sweep explicitly explores."""
-    from repro.flow.passes import libraries_digest
-
-    return libraries_digest(libraries)
-
-
-def _store(
-    result: ExperimentResult,
-    store_dir,
-    commit: str,
-    scale: str,
-    libraries: tuple[str, ...],
-):
-    from repro.flow.store import RunRecord, RunStore, now
-    from repro.track import resolve_ref, worktree_dirty
-
-    result.meta.setdefault("scale", scale)
-    resolved = resolve_ref(commit)
-    if commit == "HEAD" and resolved != commit and worktree_dirty():
-        # Uncommitted edits must not masquerade as the clean commit:
-        # a later `track diff <base> HEAD` would compare against
-        # results HEAD's tree never produced.  Key them visibly.
-        resolved += "-dirty"
-    record = RunRecord(
-        figure="techsweep",
-        commit=resolved,
-        result=result,
-        scale=scale,
-        library=swept_libraries_hash(libraries),
-        created_at=now(),
-    )
-    return RunStore(store_dir).put(record)

@@ -105,13 +105,6 @@ from repro.flow.pipeline import (
     run_default_flow,
     state_folding,
 )
-from repro.flow.store import (
-    RunDiff,
-    RunRecord,
-    RunStore,
-    StoreError,
-    diff_runs,
-)
 
 # Importing the pass modules populates the registry: the synthesis
 # passes first, then the frontend (controller-IR) lowerings.
@@ -135,18 +128,13 @@ __all__ = [
     "PassManager",
     "PassRecord",
     "Repeat",
-    "RunDiff",
-    "RunRecord",
-    "RunStore",
     "SnapshotPolicy",
     "StageSnapshot",
-    "StoreError",
     "SweepStats",
     "WhileProgress",
     "compile_many",
     "default_pipeline",
     "default_workers",
-    "diff_runs",
     "fingerprint_prefixes",
     "flow_fingerprint",
     "frontend",

@@ -266,8 +266,8 @@ class FlowContext:
     bindings: "dict[str, list[int]] | None" = None
     #: Free-form JSON-safe provenance recorded by the executors (where
     #: a resumed compile restarted, how many passes it skipped).  Never
-    #: part of the fingerprint and never compared by ``diff_runs``:
-    #: two byte-identical results may legitimately differ here.
+    #: part of the fingerprint: two byte-identical results may
+    #: legitimately differ here.
     meta: dict = field(default_factory=dict)
 
     def mark_progress(self) -> None:

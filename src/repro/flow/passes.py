@@ -679,20 +679,6 @@ def registered_library_names() -> list[str]:
     return sorted(LIBRARY_FACTORIES)
 
 
-def libraries_digest(names) -> str:
-    """Content digest over the named registered libraries (sorted):
-    the one definition of "what do these kits' cells hash to" shared
-    by the cache fingerprint and the techsweep run-store records."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for name in sorted(names):
-        digest.update(
-            repr((name, LIBRARY_FACTORIES[name]().canonical_hash())).encode()
-        )
-    return digest.hexdigest()
-
-
 #: (registry snapshot the digest was computed from, digest) -- the
 #: snapshot holds the factory objects themselves, so the identity
 #: check can never be fooled by object-id reuse.
@@ -724,7 +710,12 @@ def registered_libraries_digest() -> str:
             for old, new in zip(cached_snapshot, snapshot)
         ):
             return cached_digest
-    _LIBRARIES_DIGEST_CACHE = (snapshot, libraries_digest(LIBRARY_FACTORIES))
+    import hashlib
+
+    digest = hashlib.sha256()
+    for name, factory in snapshot:
+        digest.update(repr((name, factory().canonical_hash())).encode())
+    _LIBRARIES_DIGEST_CACHE = (snapshot, digest.hexdigest())
     return _LIBRARIES_DIGEST_CACHE[1]
 
 

@@ -22,12 +22,9 @@ every figure driver accepts ``--server URL``.  The server's only
 network inputs are those job batches: it answers ``POST /compile``,
 ``GET /stats`` and ``GET /healthz`` and nothing else.
 
-Measure it with the traffic-replay benchmark::
-
-    python -m repro.expts replay --clients 4 --jobs-per-client 8
-
-(N client threads x M sampled jobs, cold then warm; p50/p99 latency
-and cache-hit rate land in the run store for ``repro.track diff``).
+perfbench's ``serve-warm`` workload measures it: a server process of
+its own, a cold fill, then closed-loop clients whose every served
+netlist is checked against a reference model (``perfbench/README.md``).
 """
 
 from repro.serve.client import ServeClient, ServeError

@@ -90,11 +90,12 @@ class ServeClient:
     ) -> list[JobResult]:
         """Submit one batch; per-job outcomes in submission order.
 
-        This is the instrumented surface the replay benchmark reads:
-        each :class:`~repro.serve.protocol.JobResult` carries the
-        fingerprint, cache-hit/dedup flags and server wall time, and
-        job *failures* come back as results (``result.error``) rather
-        than raising, so a benchmark can count errors without dying.
+        This is the instrumented surface perfbench's serve-warm
+        workload reads: each :class:`~repro.serve.protocol.JobResult`
+        carries the fingerprint, cache-hit/dedup flags and server wall
+        time, and job *failures* come back as results
+        (``result.error``) rather than raising, so a benchmark can
+        count errors without dying.
 
         Raises:
             ServeError: transport failure, non-200 response, protocol

@@ -136,7 +136,7 @@ class CompileServer:
         self.httpd.serve_forever()
 
     def start(self) -> "CompileServer":
-        """Serve on a daemon thread (tests, self-hosted replay);
+        """Serve on a daemon thread (tests, in-process hosting);
         returns self for chaining."""
         self._thread = threading.Thread(
             target=self.serve_forever, name="compile-server", daemon=True

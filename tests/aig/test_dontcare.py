@@ -39,7 +39,7 @@ def test_dc_rewrite_reduces_some_designs():
 
 def test_dc_rewrite_reduces_the_bench_design():
     """Acceptance: a net AND decrease on a benchmark design, SAT-clean."""
-    from repro.track.bench import build_table_aig
+    from tests.helpers import build_table_aig
 
     aig = build_table_aig()
     optimized = dc_rewrite(aig)

@@ -1,4 +1,7 @@
-"""The compile cache: fingerprints, hit/miss/invalidation, disk layer."""
+"""The compile cache: fingerprints, hit/miss/invalidation, disk layer,
+and the size/age sweep (``CompileCache.sweep``)."""
+
+import os
 
 import pytest
 
@@ -6,6 +9,7 @@ from repro.flow import (
     CompileCache,
     FlowError,
     PassManager,
+    SweepStats,
     flow_fingerprint,
 )
 from repro.flow.core import Pass, register_pass
@@ -228,13 +232,16 @@ def test_disk_cache_survives_a_new_cache_instance(tmp_path):
     try:
         probed = PassManager.parse("disk_probe,elaborate,optimize,map,size")
         cold = CompileCache(tmp_path / "cache")
-        probed.compile(build_rom_module(), cache=cold)
+        cold_ctx = probed.compile(build_rom_module(), cache=cold)
         assert executed == ["disk_probe"]  # cold: the pipeline really ran
         again = CompileCache(tmp_path / "cache")
         result = probed.compile(build_rom_module(), cache=again)
         assert executed == ["disk_probe"]  # warm: zero passes executed
         assert again.disk_hits == 1 and again.misses == 0
         assert result.area.total == first.area.total
+        # A hit replays the cold compile's records, wall times included.
+        assert result.records == cold_ctx.records
+        assert sum(r.wall_time_s for r in result.records) > 0.0
     finally:
         from repro.flow import PASS_REGISTRY
 
@@ -418,3 +425,121 @@ def test_anonymous_pass_has_no_spec_form():
         PassManager([Anonymous()]).compile(
             build_rom_module(), cache=CompileCache()
         )
+
+
+# ---------------------------------------------------------------------
+# Sweep (size and age bounds).
+# ---------------------------------------------------------------------
+
+def _fill_cache(tmp_path, sizes_and_ages):
+    """A disk cache with fake entries of given (bytes, age-days)."""
+    import time as time_mod
+
+    cache = CompileCache(tmp_path / "cache")
+    files = []
+    for index, (size, age_days) in enumerate(sizes_and_ages):
+        key = f"{index:02d}" + "ab" * 31  # 64 hex-ish chars
+        entry = cache.backend.entry_file(key)
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        entry.write_bytes(b"x" * size)
+        stamp = time_mod.time() - age_days * 86400.0
+        os.utime(entry, (stamp, stamp))
+        files.append(entry)
+    return cache, files
+
+
+def test_sweep_evicts_oldest_first_for_size_budget(tmp_path):
+    cache, files = _fill_cache(
+        tmp_path, [(100, 5), (100, 3), (100, 1)]
+    )
+    stats = cache.sweep(max_bytes=150)
+    # Oldest two go; the newest survives.
+    assert stats.removed == 2 and stats.scanned == 3
+    assert stats.bytes_before == 300 and stats.bytes_after == 100
+    assert not files[0].exists() and not files[1].exists()
+    assert files[2].exists()
+
+
+def test_sweep_age_bound_ignores_fresh_entries(tmp_path):
+    cache, files = _fill_cache(tmp_path, [(100, 10), (100, 0)])
+    stats = cache.sweep(max_age_days=2)
+    assert stats.removed == 1
+    assert not files[0].exists() and files[1].exists()
+
+
+def test_sweep_combined_age_then_size(tmp_path):
+    cache, files = _fill_cache(
+        tmp_path, [(100, 10), (100, 4), (100, 2), (100, 1)]
+    )
+    stats = cache.sweep(max_bytes=200, max_age_days=5)
+    # Age kills the 10-day entry; budget then evicts the 4-day one.
+    assert stats.removed == 2
+    assert [f.exists() for f in files] == [False, False, True, True]
+
+
+def test_sweep_noop_cases(tmp_path):
+    assert CompileCache().sweep(max_bytes=0).scanned == 0  # memory-only
+    cache = CompileCache(tmp_path / "never-written")
+    assert cache.sweep(max_bytes=0).scanned == 0
+    cache, files = _fill_cache(tmp_path, [(100, 1)])
+    stats = cache.sweep()  # no bounds given: nothing evicted
+    assert stats.removed == 0 and files[0].exists()
+    with pytest.raises(ValueError):
+        cache.sweep(max_bytes=-1)
+    with pytest.raises(ValueError):
+        cache.sweep(max_age_days=-1)
+
+
+def test_sweep_missing_and_empty_dirs_return_zero_stats(tmp_path):
+    """GC of nothing is a no-op, never an error."""
+    missing = CompileCache(tmp_path / "does-not-exist")
+    stats = missing.sweep(max_bytes=0, max_age_days=0)
+    assert stats == SweepStats()
+    empty_dir = tmp_path / "empty"
+    empty_dir.mkdir()
+    stats = CompileCache(empty_dir).sweep(max_bytes=0, max_age_days=0)
+    assert stats == SweepStats()
+    # A path that is a *file* is as good as no cache.
+    file_path = tmp_path / "plain-file"
+    file_path.write_bytes(b"x")
+    stats = CompileCache(file_path).sweep(max_bytes=0)
+    assert stats == SweepStats()
+
+
+def test_sweep_skips_foreign_files(tmp_path):
+    """Files the cache did not write are never counted or deleted."""
+    cache, files = _fill_cache(tmp_path, [(100, 10)])
+    root = cache.path
+    (root / "README.txt").write_text("not an entry")
+    (root / "ab").mkdir(exist_ok=True)
+    (root / "ab" / "notes.json").write_text("{}")
+    impostor = root / "ab" / "dir-named-like-entry.pkl"
+    impostor.mkdir()
+    (impostor / "inner").write_bytes(b"x")
+    stats = cache.sweep(max_bytes=0, max_age_days=0)
+    # Only the genuine entry was scanned and removed.
+    assert stats.scanned == 1 and stats.removed == 1
+    assert not files[0].exists()
+    assert (root / "README.txt").exists()
+    assert (root / "ab" / "notes.json").exists()
+    assert impostor.is_dir() and (impostor / "inner").exists()
+
+
+def test_swept_cache_still_works(tmp_path):
+    """Eviction must read as a miss, not an error, on the next run."""
+    b = ModuleBuilder("m")
+    addr = b.input("a", 2)
+    b.output("y", ~addr)
+    module = b.build()
+
+    cache = CompileCache(tmp_path / "cache")
+    pipeline = PassManager.parse("elaborate,optimize")
+    pipeline.compile(module, cache=cache)
+    swept = cache.sweep(max_bytes=0)
+    # One completed entry, plus the stage-boundary snapshot the
+    # default policy wrote after elaborate -- both evicted.
+    assert swept.removed - swept.removed_snapshots == 1
+    assert swept.removed_snapshots == 1
+    fresh = CompileCache(tmp_path / "cache")  # cold memory layer
+    ctx = pipeline.compile(module, cache=fresh)
+    assert ctx.aig is not None and fresh.misses == 1

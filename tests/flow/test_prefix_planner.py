@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.expts.techsweep import build_jobs
 from repro.flow import (
     CompileCache,
     CompileJob,
@@ -184,3 +185,30 @@ def test_snapshots_off_reproduces_legacy_behaviour(tmp_path):
     for ctx in with_cache.values():
         assert "resumed_at" not in ctx.meta
         assert executed(ctx) == len(ctx.records)
+
+
+def test_techsweep_grid_resumes_to_a_pinned_execution_count(tmp_path):
+    """The small techsweep grid, compiled cold, executes 87 of the 324
+    pass records it executes without snapshots, and every job's result
+    is identical to its from-scratch compile.  Both counts are exact:
+    the planner forces a snapshot at every shared prefix boundary, so
+    they depend on neither timing nor the snapshot policy's knobs."""
+    baseline = compile_many(
+        build_jobs("small"),
+        cache=CompileCache(tmp_path / "baseline"),
+        snapshots=False,
+    )
+    planned = compile_many(
+        build_jobs("small"),
+        cache=CompileCache(tmp_path / "planned"),
+        snapshots=SnapshotPolicy(),
+    )
+    assert len(planned) == 18
+    assert sum(executed(ctx) for ctx in baseline.values()) == 324
+    assert sum(executed(ctx) for ctx in planned.values()) == 87
+    for key, ctx in planned.items():
+        assert record_signature(ctx) == record_signature(baseline[key])
+        assert (
+            ctx.aig.canonical_hash() == baseline[key].aig.canonical_hash()
+        )
+        assert ctx.area.total == baseline[key].area.total

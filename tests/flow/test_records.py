@@ -1,4 +1,5 @@
-"""PassRecord instrumentation and the legacy log rendering.
+"""PassRecord instrumentation, its JSON form, and the legacy log
+rendering.
 
 The free-form ``CompileResult.log`` the experiments print is now a
 *rendering* of structured :class:`PassRecord` entries; these tests pin
@@ -6,9 +7,11 @@ both the structured side (wall times, before/after AIG stats) and the
 exact legacy string formats the existing expts output depends on.
 """
 
+import json
 import re
 
 from repro.flow import render_log
+from repro.flow.core import AigStats, PassRecord
 from repro.rtl.ast import Const
 from repro.rtl.builder import ModuleBuilder, mux
 from repro.synth.compiler import DesignCompiler
@@ -126,3 +129,31 @@ def test_dropped_bus_message_keeps_legacy_format():
     dropped = [l for l in result.log if "no longer exists" in l]
     if dropped:  # the sweep removed the constant register first
         assert dropped == ["stateprop: bus dead no longer exists (dropped)"]
+
+
+def test_pass_record_roundtrip_all_fields():
+    record = PassRecord(
+        name="rewrite",
+        stage="aig",
+        wall_time_s=0.125,
+        before=AigStats(num_ands=100, num_latches=3),
+        after=AigStats(num_ands=80, num_latches=3),
+        messages=("line one", "line two"),
+        skipped=True,
+        rejected=True,
+        failed=True,
+    )
+    back = PassRecord.from_json(
+        json.loads(json.dumps(record.to_json(), allow_nan=False))
+    )
+    assert back == record
+    assert back.failed and back.rejected and back.skipped
+    assert back.delta_ands == -20
+
+
+def test_pass_record_roundtrip_none_stats():
+    record = PassRecord(
+        name="fsm_infer", stage="rtl", wall_time_s=0.0,
+        before=None, after=None,
+    )
+    assert PassRecord.from_json(record.to_json()) == record

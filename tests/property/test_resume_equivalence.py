@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flow import CompileCache, PassManager, SnapshotPolicy
-from repro.track.bench import build_table_aig, frontend_inputs
+from tests.helpers import build_table_aig, frontend_inputs
 
 #: (name, spec, input kwargs) -- an AIG-stage pipeline covering all
 #: four optimization passes, plus frontend lowerings entering at the
