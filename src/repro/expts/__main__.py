@@ -20,7 +20,6 @@ disables this.  ``--server`` routes cache misses through a running
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -89,12 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the compile cache for this run",
     )
     parser.add_argument(
-        "--no-snapshots", action="store_true",
-        help="disable stage snapshots and prefix-resume for this run "
-        "(sets REPRO_SNAPSHOTS=0 for the figure drivers and their "
-        "workers)",
-    )
-    parser.add_argument(
         "--server", default=None, metavar="URL",
         help="base URL of a running compile server (python -m "
         "repro.serve); cache misses compile there instead of locally",
@@ -114,11 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
     workers = args.jobs if args.jobs > 0 else default_workers()
     cache = None if args.no_cache else CompileCache(args.cache_dir)
-    if args.no_snapshots:
-        # Environment, not a kwarg: worker processes and the snapshot
-        # policy default both read REPRO_SNAPSHOTS, so one knob covers
-        # serial, pooled, and server-side compiles alike.
-        os.environ["REPRO_SNAPSHOTS"] = "0"
 
     chunks = []
     for name in names:

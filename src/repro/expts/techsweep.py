@@ -118,9 +118,10 @@ def build_jobs(
     """The sweep's complete job grid (designs x recipes x libraries),
     keyed ``(design, recipe, library)``.
 
-    Shared between :func:`run_techsweep` and the prefix-resume pin in
-    ``tests/flow/test_prefix_planner.py``, which compiles this grid
-    cold with and without stage snapshots.
+    Shared between :func:`run_techsweep` and the prefix-resume pins in
+    ``tests/flow/test_prefix_planner.py`` and
+    ``tests/serve/test_prefix_flight.py``, which compile this grid
+    cold with and without a cache.
     """
     libraries = resolve_libraries(libraries)
     jobs = []

@@ -61,12 +61,10 @@ Compiles are cacheable and parallelizable::
 from repro.flow.cache import (
     CompileCache,
     LocalDirBackend,
-    SnapshotPolicy,
     StageSnapshot,
     SweepStats,
     fingerprint_prefixes,
     flow_fingerprint,
-    resolve_snapshot_policy,
     snapshot_key,
 )
 from repro.flow.combinators import (
@@ -128,7 +126,6 @@ __all__ = [
     "PassManager",
     "PassRecord",
     "Repeat",
-    "SnapshotPolicy",
     "StageSnapshot",
     "SweepStats",
     "WhileProgress",
@@ -145,7 +142,6 @@ __all__ = [
     "register_pass",
     "registered_pass_names",
     "render_log",
-    "resolve_snapshot_policy",
     "retime_stage",
     "snapshot_key",
     "run_default_flow",

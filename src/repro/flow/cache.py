@@ -28,6 +28,16 @@ the atomic entry files make safe).
 Cached contexts must be treated as read-only: an in-memory hit returns
 the stored object itself.
 
+Beside completed entries the cache keeps *stage snapshots*: the
+context after a pipeline prefix, keyed by that prefix's fingerprint
+(:func:`fingerprint_prefixes`).  One rule decides where they are
+written: a compile snapshots the boundary after pass ``k`` exactly
+when another job of the same batch has the same prefix fingerprint
+there (:func:`repro.flow.parallel._plan_waves`, used by
+``compile_many`` and by the compile server for every multi-job
+batch).  A lone compile writes none.  Snapshots are the only source
+a compile resumes from (:func:`repro.flow.manager.prepare_resume`).
+
 Entries are **pickles**: loading one executes whatever its bytes
 describe, so only point ``path`` at directories you trust (your own
 working tree, your own CI workspace).  Do not share a cache directory
@@ -78,7 +88,9 @@ FINGERPRINT_VERSION = 6
 #: from this version, so a bump orphans (never mis-reads) old
 #: snapshots, and the envelope's own version field rejects skewed
 #: files that are still on disk.
-SNAPSHOT_VERSION = 1
+#: Version 2: the envelope dropped its write-only ``prefix_spec`` and
+#: ``passes_done`` fields.
+SNAPSHOT_VERSION = 2
 
 #: The two entry kinds the on-disk store keeps: completed compile
 #: results (the historical namespace) and mid-pipeline stage snapshots.
@@ -301,85 +313,17 @@ class StageSnapshot:
     """The versioned envelope a stage snapshot pickles as.
 
     ``ctx`` is the mid-pipeline :class:`FlowContext` exactly as it
-    stood after ``passes_done`` top-level passes of ``prefix_spec``.
-    Readers validate ``version`` (and the envelope type itself) before
-    trusting the payload; anything else -- including an old reader
-    that has never heard of this class -- reads as a cache miss
-    through the :data:`UNPICKLE_ERRORS` tolerance.
+    stood after the pipeline prefix whose fingerprint keys the
+    snapshot (:func:`snapshot_key`), so the key alone says how far
+    the context got.  Readers validate ``version`` (and the envelope
+    type itself) before trusting the payload; anything else --
+    including an old reader that has never heard of this class --
+    reads as a cache miss through the :data:`UNPICKLE_ERRORS`
+    tolerance.
     """
 
     version: int
-    prefix_spec: str
-    passes_done: int
     ctx: FlowContext
-
-
-@dataclass(frozen=True)
-class SnapshotPolicy:
-    """When a resumable compile persists a mid-pipeline snapshot.
-
-    Snapshots cost a pickle and backend write each, so the policy
-    bounds them to the boundaries worth resuming from: every *stage*
-    boundary (the representation changed -- elaboration, mapping),
-    every pass slower than ``min_pass_seconds`` (the work worth not
-    redoing), and every boundary a scheduler forces (the prefix-trie
-    planner marks prefixes shared by several jobs).  The pipeline's
-    final pass never snapshots -- the completed entry already covers
-    it.
-
-    Environment knobs (read by :meth:`from_env`, which every executor
-    defaults to): ``REPRO_SNAPSHOTS=0`` disables snapshotting and
-    resuming entirely; ``REPRO_SNAPSHOT_MIN_S`` overrides the
-    wall-time threshold (seconds).
-    """
-
-    enabled: bool = True
-    min_pass_seconds: float = 0.05
-    stage_boundaries: bool = True
-
-    @classmethod
-    def from_env(cls) -> "SnapshotPolicy":
-        if os.environ.get("REPRO_SNAPSHOTS", "").strip().lower() in (
-            "0", "off", "no", "false",
-        ):
-            return cls(enabled=False)
-        raw = os.environ.get("REPRO_SNAPSHOT_MIN_S", "").strip()
-        if raw:
-            try:
-                return cls(min_pass_seconds=float(raw))
-            except ValueError:
-                pass  # a malformed override keeps the default
-        return cls()
-
-    def should_snapshot(
-        self,
-        *,
-        wall_time_s: float,
-        stage_changed: bool,
-        forced: bool = False,
-    ) -> bool:
-        if not self.enabled:
-            return False
-        if forced:
-            return True
-        if self.stage_boundaries and stage_changed:
-            return True
-        return wall_time_s >= self.min_pass_seconds
-
-
-def resolve_snapshot_policy(
-    snapshots: "SnapshotPolicy | bool | None",
-) -> SnapshotPolicy:
-    """The policy an executor's ``snapshots=`` argument means:
-    ``None`` defers to the environment, booleans toggle the default
-    policy, and an explicit :class:`SnapshotPolicy` wins as given."""
-    if snapshots is None:
-        return SnapshotPolicy.from_env()
-    if snapshots is True:
-        return SnapshotPolicy()
-    if snapshots is False:
-        return SnapshotPolicy(enabled=False)
-    return snapshots
 
 
 class LocalDirBackend:
@@ -667,12 +611,7 @@ class CompileCache:
         return snapshot.ctx
 
     def put_snapshot(
-        self,
-        prefix_fingerprint: str,
-        ctx: "FlowContext",
-        *,
-        prefix_spec: str = "",
-        passes_done: int = 0,
+        self, prefix_fingerprint: str, ctx: "FlowContext"
     ) -> None:
         """Snapshot a mid-pipeline context under a prefix fingerprint.
 
@@ -680,41 +619,13 @@ class CompileCache:
         snapshot's identity from then on, immune to the caller
         continuing to mutate ``ctx``.
         """
-        blob = _dumps(
-            StageSnapshot(
-                version=SNAPSHOT_VERSION,
-                prefix_spec=prefix_spec,
-                passes_done=passes_done,
-                ctx=ctx,
-            )
-        )
+        blob = _dumps(StageSnapshot(version=SNAPSHOT_VERSION, ctx=ctx))
         key = snapshot_key(prefix_fingerprint)
         self._put_snapshot_memory(key, blob)
         if self.backend is not None:
             self.backend.store(key, blob, kind=SNAPSHOT_KIND)
         with self._lock:
             self.snapshot_stores += 1
-
-    def get_prefix_entry(self, key: str) -> "FlowContext | None":
-        """A completed entry restored *for mutation* -- the resume
-        probe's view of a full compile whose pipeline is a prefix of a
-        longer one (prefix fingerprints are digest-identical to the
-        short pipeline's full fingerprint, so its entry is a valid
-        resume point).
-
-        Unlike :meth:`get`, the result is always a fresh copy (memory
-        hits are pickle-roundtripped), never the shared read-only
-        object, and no hit/miss counters move -- cold compiles probe
-        every prefix depth, which would otherwise drown the miss rate.
-        """
-        with self._lock:
-            ctx = self._memory.get(key)
-        if ctx is not None:
-            return _loads(_dumps(ctx))
-        if self.backend is None:
-            return None
-        blob = self.backend.load(key, kind=ENTRY_KIND)
-        return None if blob is None else _loads(blob)
 
     def _put_snapshot_memory(self, key: str, blob: bytes) -> None:
         with self._lock:

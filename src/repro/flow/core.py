@@ -306,19 +306,6 @@ class FlowContext:
         return render_log(self.records)
 
 
-def context_stage(ctx: FlowContext) -> str:
-    """The deepest representation ``ctx`` currently holds -- how the
-    snapshot policy detects stage boundaries (a pass whose execution
-    moved the context to a new representation)."""
-    if ctx.netlist is not None:
-        return "netlist"
-    if ctx.aig is not None:
-        return "aig"
-    if ctx.module is not None:
-        return "rtl"
-    return "ctrl"
-
-
 class Pass:
     """One named transform over a :class:`FlowContext`.
 

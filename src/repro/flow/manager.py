@@ -27,7 +27,6 @@ from repro.flow.core import (
     FlowContext,
     FlowError,
     Pass,
-    context_stage,
     ensure_recursion_headroom,
     make_pass,
     parse_spec_value,
@@ -285,7 +284,6 @@ class PassManager:
         library=None,
         seed: int = 2011,
         cache=None,
-        snapshots=None,
     ) -> FlowContext:
         """Convenience: build a fresh context and run the pipeline.
 
@@ -297,28 +295,28 @@ class PassManager:
 
         With a :class:`~repro.flow.cache.CompileCache` as ``cache``,
         the run is keyed on the fingerprint of (inputs, rendered
-        pipeline spec, seed, library): a hit returns the cached
+        pipeline spec, seed, library) -- the last of the pipeline's
+        :meth:`prefix_fingerprints`: a hit returns the cached
         completed context without executing any pass -- for an IR
         input that means zero lowerings *and* zero synthesis -- a miss
         runs the pipeline and stores the result.  Treat cached
         contexts as read-only -- in-memory hits share one object.
 
-        On a full-key miss the compile is *incrementally resumable*:
-        the longest cached stage snapshot of a pipeline prefix (see
-        :func:`~repro.flow.cache.fingerprint_prefixes`) is restored
-        and only the remaining passes execute, with the resume point
-        recorded in ``ctx.meta`` (``resumed_at``/``passes_skipped``).
-        ``snapshots`` tunes the
-        :class:`~repro.flow.cache.SnapshotPolicy`: ``None`` reads the
-        environment (``REPRO_SNAPSHOTS=0`` disables), ``True``/
-        ``False`` toggle the default policy, or pass a policy.  A
-        resumed result is byte-identical to a from-scratch run
-        (canonical hashes and pass records modulo wall times).
+        This is the path ``compile_many`` and the compile server take
+        too: look up the key, resume, run, store.  A miss resumes from
+        the deepest stage snapshot of a pipeline prefix that an
+        earlier batch left in the cache (:func:`prepare_resume`), with
+        the resume point recorded in ``ctx.meta``
+        (``resumed_at``/``passes_skipped``); a resumed result is
+        byte-identical to a from-scratch run (canonical hashes and
+        pass records modulo wall times).  A lone compile shares no
+        prefix with another job, so it writes no snapshot.
 
         The spec typechecker (:mod:`repro.check.spec`) runs first:
         a pipeline that is statically wrong for these inputs (stage
         ordering, IR kind, missing bindings) raises :class:`FlowError`
-        carrying the diagnostics before any pass executes.
+        carrying the diagnostics before any pass executes.  Pass
+        failures propagate unwrapped.
         """
         # Imported here: repro.check.spec imports this module.
         from repro.check.spec import check_manager, input_stage_of
@@ -341,45 +339,7 @@ class PassManager:
                 "pipeline spec check failed: "
                 + "; ".join(str(problem) for problem in problems)
             )
-        policy = None
-        fingerprint = None
-        prefix_fps: list[str] = []
-        if cache is not None:
-            from repro.flow.cache import (
-                flow_fingerprint,
-                resolve_snapshot_policy,
-            )
-
-            policy = resolve_snapshot_policy(snapshots)
-            if policy.enabled and len(self.passes) > 1:
-                prefix_fps = self.prefix_fingerprints(
-                    ctrl=ctrl,
-                    module=module,
-                    aig=aig,
-                    annotations=annotations,
-                    bindings=bindings,
-                    library=library,
-                    seed=seed,
-                )
-            fingerprint = (
-                prefix_fps[-1]
-                if prefix_fps
-                else flow_fingerprint(
-                    self.spec(),
-                    ctrl=ctrl,
-                    module=module,
-                    aig=aig,
-                    annotations=annotations,
-                    bindings=bindings,
-                    library=library,
-                    seed=seed,
-                )
-            )
-            hit = cache.get(fingerprint)
-            if hit is not None:
-                return hit
-        ctx, start = prepare_resume(
-            self,
+        inputs = dict(
             ctrl=ctrl,
             module=module,
             aig=aig,
@@ -387,19 +347,25 @@ class PassManager:
             bindings=bindings,
             library=library,
             seed=seed,
-            cache=cache,
-            prefix_fingerprints=prefix_fps,
+        )
+        fingerprints: list[str] = []
+        if cache is not None:
+            fingerprints = self.prefix_fingerprints(**inputs)
+            hit = cache.get(fingerprints[-1])
+            if hit is not None:
+                return hit
+        ctx, start = prepare_resume(
+            self, cache=cache, prefix_fingerprints=fingerprints, **inputs
         )
         run_resumable(
             self,
             ctx,
             start=start,
             cache=cache,
-            prefix_fingerprints=prefix_fps,
-            policy=policy,
+            prefix_fingerprints=fingerprints,
         )
         if cache is not None:
-            cache.put(fingerprint, ctx)
+            cache.put(fingerprints[-1], ctx)
         return ctx
 
     def __len__(self) -> int:
@@ -431,32 +397,24 @@ def prepare_resume(
     """The context a miss starts from: the deepest restorable stage
     snapshot, or a fresh context.
 
-    Probes ``cache`` for resume points of the pipeline's prefixes,
-    deepest first.  Two kinds qualify at each depth: a stage snapshot
-    of the prefix, and -- because prefix fingerprints are
-    digest-identical to a shorter pipeline's full fingerprint -- the
-    *completed entry* of a compile whose whole pipeline was this
-    prefix (restored as a fresh copy via
-    :meth:`~repro.flow.cache.CompileCache.get_prefix_entry`; the
-    shared read-only hit object must never be mutated by a resume).
-    A restored context gets the resume provenance written into
-    ``ctx.meta``: ``resumed_at`` (the name of the last skipped pass),
-    ``passes_skipped`` (top-level count), and ``resumed_records``
-    (how many pass records came from the resume point rather than
-    this run -- what lets pass-execution accounting subtract them).
+    Probes ``cache`` for a stage snapshot under each of the pipeline's
+    ``prefix_fingerprints``, deepest first; snapshots are the only
+    resume source.  The deepest probe is the full pipeline: a batch
+    job whose whole pipeline another job shares snapshots its final
+    boundary too.  A restored context gets the resume provenance
+    written into ``ctx.meta``: ``resumed_at`` (the name of the last
+    skipped pass), ``passes_skipped`` (top-level count), and
+    ``resumed_records`` (how many pass records came from the resume
+    point rather than this run -- what lets pass-execution accounting
+    subtract them).
 
     Returns:
         ``(ctx, start)`` -- run the pipeline from top-level pass index
         ``start`` (0 means from scratch).
     """
-    fps = list(prefix_fingerprints)
-    if cache is not None and len(fps) == len(pipeline.passes) > 1:
-        for done in range(len(pipeline.passes), 0, -1):
-            restored = cache.get_snapshot(fps[done - 1])
-            if restored is None and done < len(pipeline.passes):
-                # The caller already ruled out a full-key entry hit,
-                # so only proper prefixes are probed as entries.
-                restored = cache.get_prefix_entry(fps[done - 1])
+    if cache is not None:
+        for done in range(len(prefix_fingerprints), 0, -1):
+            restored = cache.get_snapshot(prefix_fingerprints[done - 1])
             if restored is None:
                 continue
             restored.meta.update(
@@ -486,45 +444,22 @@ def run_resumable(
     start: int = 0,
     cache=None,
     prefix_fingerprints: Sequence[str] = (),
-    policy=None,
-    force_snapshot_after: frozenset[int] | set[int] = frozenset(),
+    snapshot_after: frozenset[int] | set[int] = frozenset(),
 ) -> FlowContext:
-    """Execute ``pipeline`` on ``ctx`` from pass ``start``, persisting
-    stage snapshots where the policy says a boundary is worth keeping.
+    """Execute ``pipeline`` on ``ctx`` from pass ``start``, snapshotting
+    the boundary after each top-level pass index in ``snapshot_after``.
 
-    The final pass never snapshots -- the completed cache entry covers
-    the full pipeline.  ``force_snapshot_after`` holds top-level pass
-    indices whose boundary must snapshot regardless of wall time or
-    stage (the prefix-trie planner marks prefixes other jobs in the
-    batch share).
+    ``snapshot_after`` comes from the batch planner
+    (:func:`repro.flow.parallel._plan_waves`): exactly the boundaries
+    whose prefix fingerprint another job of the same batch shares,
+    the final one included.  It is empty for a lone compile.
 
     Failures propagate exactly as :meth:`PassManager.run`'s would --
     no snapshot is taken at or after a failing pass.
     """
     ensure_recursion_headroom()
-    snapshotting = (
-        cache is not None
-        and policy is not None
-        and policy.enabled
-        and len(prefix_fingerprints) == len(pipeline.passes)
-    )
-    specs = pipeline.prefix_specs() if snapshotting else []
-    last = len(pipeline.passes) - 1
-    stage = context_stage(ctx)
     for index in range(start, len(pipeline.passes)):
-        record = pipeline.passes[index].execute(ctx)
-        if not snapshotting or index >= last:
-            continue
-        previous, stage = stage, context_stage(ctx)
-        if policy.should_snapshot(
-            wall_time_s=record.wall_time_s,
-            stage_changed=stage != previous,
-            forced=index in force_snapshot_after,
-        ):
-            cache.put_snapshot(
-                prefix_fingerprints[index],
-                ctx,
-                prefix_spec=specs[index],
-                passes_done=index + 1,
-            )
+        pipeline.passes[index].execute(ctx)
+        if index in snapshot_after:
+            cache.put_snapshot(prefix_fingerprints[index], ctx)
     return ctx

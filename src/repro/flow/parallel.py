@@ -28,12 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
-from repro.flow.cache import (
-    CompileCache,
-    SnapshotPolicy,
-    flow_fingerprint,
-    resolve_snapshot_policy,
-)
+from repro.flow.cache import CompileCache
 from repro.flow.core import (
     FlowContext,
     FlowError,
@@ -106,9 +101,9 @@ def _resolve_pipeline(pipeline: "PassManager | str") -> PassManager:
     return pipeline
 
 
-def _job_fingerprint(job: CompileJob, pipeline: PassManager) -> str:
-    return flow_fingerprint(
-        pipeline.spec(),
+def _job_inputs(job: CompileJob) -> dict:
+    """The keyword inputs of :meth:`PassManager.compile` a job carries."""
+    return dict(
         ctrl=job.ctrl,
         module=job.module,
         aig=job.aig,
@@ -119,61 +114,33 @@ def _job_fingerprint(job: CompileJob, pipeline: PassManager) -> str:
     )
 
 
-def _job_prefix_fingerprints(
-    job: CompileJob, pipeline: PassManager
-) -> list[str]:
-    return pipeline.prefix_fingerprints(
-        ctrl=job.ctrl,
-        module=job.module,
-        aig=job.aig,
-        annotations=job.annotations,
-        bindings=job.bindings,
-        library=job.library,
-        seed=job.seed,
-    )
+def _job_prefix_fingerprints(job: CompileJob) -> list[str]:
+    """The job's prefix fingerprints; the last is its cache key."""
+    pipeline = _resolve_pipeline(job.pipeline)
+    return pipeline.prefix_fingerprints(**_job_inputs(job))
 
 
 def _execute_job(
     job: CompileJob,
     cache: CompileCache | None,
-    fingerprint: str | None = None,
-    *,
-    snapshots: "SnapshotPolicy | bool | None" = None,
-    force_snapshot_after: frozenset = frozenset(),
+    fingerprints: Sequence[str],
+    snapshot_after: frozenset,
 ) -> FlowContext:
-    """Run one job (cache-aware and resumable), wrapping failures with
-    their log context.  A caller that already missed on
-    ``fingerprint`` passes it in to skip the redundant second lookup
-    (prefix resume points are still probed).  ``force_snapshot_after``
-    holds top-level pass indices the prefix-trie planner marked as
-    shared boundaries -- they snapshot regardless of policy
-    thresholds."""
+    """Resume, run and store one job whose key the caller already
+    looked up and missed, wrapping failures with their log context.
+
+    ``fingerprints`` are the job's prefix fingerprints (unused without
+    a cache; the last is the key).  ``snapshot_after`` holds the
+    top-level pass indices whose boundary the batch planner
+    (:func:`_plan_waves`) marked as shared with another job.  No spec
+    check runs here; the compile server runs its own on every job it
+    serves."""
     pipeline = _resolve_pipeline(job.pipeline)
-    policy = resolve_snapshot_policy(snapshots)
-    prefix_fps: list[str] = []
-    if cache is not None:
-        if policy.enabled and len(pipeline.passes) > 1:
-            prefix_fps = _job_prefix_fingerprints(job, pipeline)
-        if fingerprint is None:
-            fingerprint = (
-                prefix_fps[-1]
-                if prefix_fps
-                else _job_fingerprint(job, pipeline)
-            )
-            hit = cache.get(fingerprint)
-            if hit is not None:
-                return hit
     ctx, start = prepare_resume(
         pipeline,
-        ctrl=job.ctrl,
-        module=job.module,
-        aig=job.aig,
-        annotations=job.annotations,
-        bindings=job.bindings,
-        library=job.library,
-        seed=job.seed,
         cache=cache,
-        prefix_fingerprints=prefix_fps,
+        prefix_fingerprints=fingerprints,
+        **_job_inputs(job),
     )
     try:
         run_resumable(
@@ -181,9 +148,8 @@ def _execute_job(
             ctx,
             start=start,
             cache=cache,
-            prefix_fingerprints=prefix_fps,
-            policy=policy,
-            force_snapshot_after=force_snapshot_after,
+            prefix_fingerprints=fingerprints,
+            snapshot_after=snapshot_after,
         )
     except CompileJobError:
         raise
@@ -192,25 +158,20 @@ def _execute_job(
             job.key, f"{type(exc).__name__}: {exc}", ctx.records
         ) from exc
     if cache is not None:
-        cache.put(fingerprint, ctx)
+        cache.put(fingerprints[-1], ctx)
     return ctx
 
 
 def _worker_run(
     job: CompileJob,
     cache_path: str | None,
-    snapshots: "SnapshotPolicy | None" = None,
-    force_snapshot_after: frozenset = frozenset(),
+    fingerprints: Sequence[str],
+    snapshot_after: frozenset,
 ) -> FlowContext:
     """Entry point executed inside a pool worker."""
     ensure_recursion_headroom()
     cache = None if cache_path is None else CompileCache(path=cache_path)
-    return _execute_job(
-        job,
-        cache,
-        snapshots=snapshots,
-        force_snapshot_after=force_snapshot_after,
-    )
+    return _execute_job(job, cache, fingerprints, snapshot_after)
 
 
 def _pool_context():
@@ -225,33 +186,35 @@ def _pool_context():
 def _plan_waves(
     prefix_lists: Sequence[Sequence[str]],
 ) -> "tuple[list[list[int]], dict[int, frozenset]]":
-    """The prefix-trie schedule of one job batch.
+    """The prefix-trie schedule of one job batch -- the one place that
+    decides which boundaries a compile snapshots.
 
     ``prefix_lists[i]`` is job ``i``'s prefix fingerprints (full
     fingerprint last); a fingerprint appearing in two or more jobs is
-    *shared* -- work that must execute exactly once.  The plan is a
-    list of waves (job indices) plus, per job, the top-level pass
-    indices whose boundary must snapshot (``forced``): within a wave
-    no two jobs carry the same not-yet-covered shared fingerprint, so
-    each shared prefix has exactly one *leader*; after the wave the
-    leader's snapshots (and completed entry) are published, and the
-    followers -- deferred to later waves -- resume from them instead
-    of re-executing the prefix.
+    *shared* -- work that must execute exactly once.  The rule: job
+    ``i`` snapshots the boundary after pass ``k`` exactly when
+    ``prefix_lists[i][k]`` is shared, the final boundary included (a
+    job whose whole pipeline is a prefix of another's hands it its
+    result that way).  It depends on the batch's inputs alone, never
+    on timing.
 
-    Full fingerprints count as shared too: two content-identical jobs
-    (distinct keys) serialize, and the second hits the cache outright.
+    The plan is a list of waves (job indices) plus those boundaries
+    per job (``forced``): within a wave no two jobs carry the same
+    not-yet-covered shared fingerprint, so each shared prefix has
+    exactly one *leader*; after the wave the leader's snapshots are
+    published, and the followers -- deferred to later waves -- resume
+    from them instead of re-executing the prefix.  Two
+    content-identical jobs (distinct keys) serialize the same way,
+    and the second resumes from the first one's final snapshot.
 
     Returns:
         ``(waves, forced)`` -- waves partition ``range(len(...))`` in
-        submission order; ``forced[i]`` holds the snapshot boundaries
-        job ``i`` must persist (its own final pass never snapshots;
-        the completed entry covers it).
+        submission order; ``forced[i]`` holds the top-level pass
+        indices after which job ``i`` must snapshot.
     """
     counts = Counter(fp for fps in prefix_lists for fp in fps)
     forced = {
-        i: frozenset(
-            k for k, fp in enumerate(fps[:-1]) if counts[fp] >= 2
-        )
+        i: frozenset(k for k, fp in enumerate(fps) if counts[fp] >= 2)
         for i, fps in enumerate(prefix_lists)
     }
     covered: set[str] = set()
@@ -295,7 +258,6 @@ def compile_many(
     workers: int = 1,
     cache: CompileCache | None = None,
     server: "str | None" = None,
-    snapshots: "SnapshotPolicy | bool | None" = None,
 ) -> "dict[Hashable, FlowContext]":
     """Compile independent jobs, optionally across worker processes
     or through a remote compile server.
@@ -310,31 +272,31 @@ def compile_many(
     cache has a ``path`` -- is shared with the workers directly
     (atomic entry files make concurrent writers safe).  A memory-only
     cache still dedups across one ``compile_many`` call, but workers
-    cannot share it.
+    cannot share it.  ``cache=None`` compiles every job from scratch:
+    nothing is looked up, resumed or stored.
 
-    Misses are scheduled by a *prefix-trie planner* (when the
-    snapshot policy is enabled): jobs whose pipelines share a prefix
-    on identical inputs are grouped so that exactly one leader
-    executes each shared prefix, persisting a stage snapshot at the
-    shared boundary, before the followers fan out and resume from it
+    The misses are planned as one batch (:func:`_plan_waves`): each
+    job snapshots exactly the boundaries whose prefix fingerprint
+    another job of the batch shares, so exactly one leader executes
+    each shared prefix and the followers resume from its snapshot
     (serially, submission order achieves this; across workers, jobs
     are batched into waves that never race on an uncovered shared
-    prefix -- requires a path-backed cache, since followers read the
-    leader's snapshots through the shared disk layer).  ``snapshots``
-    tunes the :class:`~repro.flow.cache.SnapshotPolicy` exactly as in
-    :meth:`PassManager.compile`; disabling it restores the flat
-    all-at-once schedule.
+    prefix -- which requires a path-backed cache, since followers
+    read the leader's snapshots through the shared disk layer).
+    Each job then takes :meth:`PassManager.compile`'s path -- resume,
+    run, store -- without its spec check, and a failure raises
+    :class:`CompileJobError`.
 
     With ``server``, cache misses are submitted to a
     :mod:`repro.serve` compile server as one batch instead of
-    executing locally; a local ``cache`` then *fronts* the shared
-    service (read-through for the up-front hit resolution,
-    write-through as returned contexts are stored back), so only the
-    first sighting of a fingerprint ever crosses the network.  Error
-    behaviour is identical to local execution -- the earliest failing
-    job in submission order raises its
-    :class:`CompileJobError` -- and ``workers`` is ignored (the
-    server's pool bounds concurrency).
+    executing locally (the server plans the batch the same way); a
+    local ``cache`` then *fronts* the shared service (read-through
+    for the up-front hit resolution, write-through as returned
+    contexts are stored back), so only the first sighting of a
+    fingerprint ever crosses the network.  Error behaviour is
+    identical to local execution -- the earliest failing job in
+    submission order raises its :class:`CompileJobError` -- and
+    ``workers`` is ignored (the server's pool bounds concurrency).
 
     Args:
         jobs: the independent compiles; ``job.key`` must be unique
@@ -367,75 +329,49 @@ def compile_many(
         seen_keys.add(job.key)
 
     ensure_recursion_headroom()
-    policy = resolve_snapshot_policy(snapshots)
     results: dict[Hashable, FlowContext] = {}
-    pending: list[tuple[int, CompileJob, str | None, list[str]]] = []
+    pending: list[tuple[int, CompileJob, list[str]]] = []
     for index, job in enumerate(jobs):
+        fingerprints: list[str] = []
         if cache is not None:
-            pipeline = _resolve_pipeline(job.pipeline)
-            prefix_fps = (
-                _job_prefix_fingerprints(job, pipeline)
-                if policy.enabled and len(pipeline.passes) > 1
-                else []
-            )
-            fingerprint = (
-                prefix_fps[-1]
-                if prefix_fps
-                else _job_fingerprint(job, pipeline)
-            )
-            hit = cache.get(fingerprint)
+            fingerprints = _job_prefix_fingerprints(job)
+            hit = cache.get(fingerprints[-1])
             if hit is not None:
                 results[job.key] = hit
                 continue
-            pending.append((index, job, fingerprint, prefix_fps))
-        else:
-            pending.append((index, job, None, []))
-
-    # The prefix-trie plan of the misses: which boundaries must
-    # snapshot, and (for the pool path) which jobs may run
-    # concurrently without racing on a shared prefix.
-    if cache is not None and policy.enabled:
-        waves, forced = _plan_waves([fps for _, _, _, fps in pending])
-    else:
-        waves = [list(range(len(pending)))]
-        forced = {}
+        pending.append((index, job, fingerprints))
 
     if server is not None:
         # Imported lazily: repro.serve depends on this module.
         from repro.serve.client import ServeClient
 
         if pending:
-            # The server runs its own prefix-flight dedup; the batch
-            # goes up unplanned.
             remote = ServeClient(server).compile(
-                [job for _, job, _, _ in pending]
+                [job for _, job, _ in pending]
             )
-            for _, job, fingerprint, _ in pending:
+            for _, job, fingerprints in pending:
                 ctx = remote[job.key]
                 results[job.key] = ctx
                 if cache is not None:
-                    cache.put(fingerprint, ctx)
+                    cache.put(fingerprints[-1], ctx)
     elif workers <= 1 or len(pending) <= 1:
         # Submission order already executes each shared prefix exactly
         # once: the first job carrying it leads (snapshotting the
-        # forced boundary), every later job resumes from the snapshot.
-        for position, (_, job, fingerprint, _) in enumerate(pending):
+        # shared boundary), every later job resumes from the snapshot.
+        _, forced = _plan_waves([fps for _, _, fps in pending])
+        for position, (_, job, fingerprints) in enumerate(pending):
             results[job.key] = _execute_job(
-                job,
-                cache,
-                fingerprint,
-                snapshots=policy,
-                force_snapshot_after=forced.get(position, frozenset()),
+                job, cache, fingerprints, forced[position]
             )
     else:
         cache_path = None if cache is None or cache.path is None else str(
             cache.path
         )
-        if cache_path is None:
-            # Workers cannot see each other's snapshots without a
-            # shared disk layer, so wave barriers buy nothing.
-            waves = [list(range(len(pending)))]
-            forced = {}
+        # Workers cannot see each other's snapshots without a shared
+        # disk layer: plan nothing shared, and so run one wave.
+        waves, forced = _plan_waves(
+            [fps if cache_path else [] for _, _, fps in pending]
+        )
         failures: list[tuple[int, CompileJobError]] = []
         with ProcessPoolExecutor(
             max_workers=min(workers, len(pending)),
@@ -449,13 +385,13 @@ def compile_many(
                          _worker_run,
                          pending[position][1],
                          cache_path,
-                         policy,
-                         forced.get(position, frozenset()),
+                         pending[position][2],
+                         forced[position],
                      ))
                     for position in wave
                 ]
                 for position, future in futures:
-                    index, job, fingerprint, _ = pending[position]
+                    index, job, fingerprints = pending[position]
                     try:
                         ctx = future.result()
                     except CompileJobError as exc:
@@ -466,7 +402,7 @@ def compile_many(
                         # The worker already published to the shared
                         # disk layer; fold into the parent's memory
                         # layer too.
-                        cache.put_memory(fingerprint, ctx)
+                        cache.put_memory(fingerprints[-1], ctx)
         if failures:
             # Deterministic: the earliest job in submission order
             # raises, exactly as the serial path would.

@@ -56,11 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-memory LRU bound (default: %(default)s)",
     )
     parser.add_argument(
-        "--no-snapshots", action="store_true",
-        help="disable stage snapshots and prefix-resume (compiles are "
-        "all-or-nothing, as before; REPRO_SNAPSHOTS=0 does the same)",
-    )
-    parser.add_argument(
         "--quiet", action="store_true",
         help="no per-request log lines",
     )
@@ -85,7 +80,6 @@ def main(argv: list[str] | None = None) -> int:
         host=args.host,
         port=args.port,
         verbose=not args.quiet,
-        snapshots=False if args.no_snapshots else None,
     )
     where = "memory-only" if args.memory_only else args.cache_dir
     # The smoke tests and wrapper scripts grep this line for the

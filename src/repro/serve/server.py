@@ -39,14 +39,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.flow.cache import CompileCache, resolve_snapshot_policy
+from repro.flow.cache import CompileCache
 from repro.flow.parallel import (
     CompileJob,
     CompileJobError,
     _execute_job,
-    _job_fingerprint,
     _job_prefix_fingerprints,
-    _resolve_pipeline,
+    _plan_waves,
 )
 from repro.check.spec import check_job
 from repro.serve.protocol import (
@@ -81,13 +80,17 @@ class CompileServer:
         port: bind port; ``0`` picks an ephemeral free port, read the
             result back from :attr:`url`.
         verbose: log one line per request to stdout.
-        snapshots: the stage-snapshot policy
-            (:func:`~repro.flow.cache.resolve_snapshot_policy` --
-            ``None`` reads the environment, ``False`` disables).  With
-            snapshots on, concurrent jobs sharing a pipeline prefix
-            dedup through prefix flight keys: one leader compiles the
-            prefix, the others resume from its snapshots
-            (``prefix_resumes`` in ``/stats``).
+
+    Each multi-job ``POST /compile`` batch is planned as
+    ``compile_many`` plans its misses
+    (:func:`~repro.flow.parallel._plan_waves`): a job snapshots
+    exactly the boundaries whose prefix fingerprint another job of
+    the batch shares, and advertises exactly those as
+    :class:`~repro.serve.singleflight.SingleFlight` prefix keys, so a
+    job that shares a prefix with an executing leader waits for it
+    and resumes from the snapshot it publishes
+    (``prefix_resumes`` in ``/stats``).  A single-job request
+    advertises nothing and writes no snapshot.
     """
 
     def __init__(
@@ -97,14 +100,12 @@ class CompileServer:
         host: str = "127.0.0.1",
         port: int = 0,
         verbose: bool = False,
-        snapshots=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.cache = cache if cache is not None else CompileCache()
         self.workers = workers
         self.verbose = verbose
-        self.snapshot_policy = resolve_snapshot_policy(snapshots)
         self.pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="compile"
         )
@@ -183,8 +184,32 @@ class CompileServer:
         }
 
     # -- the job path -------------------------------------------------
-    def run_job(self, job: CompileJob, index: int) -> JobResult:
+    def plan(self, jobs: "list[CompileJob]") -> "list[frozenset]":
+        """The boundaries each job of one batch snapshots and
+        advertises: :func:`~repro.flow.parallel._plan_waves`'s rule,
+        as ``compile_many`` applies it.  A single job shares nothing,
+        and so is not fingerprinted here; a job whose pipeline cannot
+        be fingerprinted shares nothing either (:meth:`run_job`
+        reports its error)."""
+        if len(jobs) < 2:
+            return [frozenset()] * len(jobs)
+        prefix_lists = []
+        for job in jobs:
+            try:
+                prefix_lists.append(_job_prefix_fingerprints(job))
+            except Exception:
+                prefix_lists.append([])
+        _, forced = _plan_waves(prefix_lists)
+        return [forced[i] for i in range(len(jobs))]
+
+    def run_job(
+        self, job: CompileJob, index: int, snapshot_after: frozenset
+    ) -> JobResult:
         """Serve one job: cache, then single-flight, then compile.
+
+        ``snapshot_after`` is the job's share of its batch's
+        :meth:`plan`: the boundaries it snapshots if it compiles, and
+        whose prefix fingerprints it advertises as flight keys.
 
         Never raises -- failures come back as error results so one bad
         job cannot poison the rest of a streamed batch.  ``job.key``
@@ -215,14 +240,7 @@ class CompileServer:
             )
 
         try:
-            pipeline = _resolve_pipeline(job.pipeline)
-            policy = self.snapshot_policy
-            if policy.enabled and len(pipeline.passes) > 1:
-                prefix_fps = _job_prefix_fingerprints(job, pipeline)
-                fingerprint = prefix_fps[-1]
-            else:
-                prefix_fps = []
-                fingerprint = _job_fingerprint(job, pipeline)
+            prefix_fps = _job_prefix_fingerprints(job)
         except Exception as exc:
             self._count("job_errors")
             return done(
@@ -231,6 +249,7 @@ class CompileServer:
                     index, f"{type(exc).__name__}: {exc}"
                 ),
             )
+        fingerprint = prefix_fps[-1]
 
         ctx = self.cache.get(fingerprint)
         if ctx is not None:
@@ -244,13 +263,12 @@ class CompileServer:
                 return hit, True, False
             self.cache.inflight_begin()
             try:
-                # Sharing the server cache makes the run resumable:
-                # the deepest stage snapshot (a prefix leader's, or a
-                # previous run's) is restored, and this run's own
-                # snapshots and completed entry publish through it.
+                # The compile_many path on the server cache: resume
+                # from the deepest stage snapshot (a prefix leader's,
+                # or an earlier batch's), publish this job's planned
+                # snapshots and its completed entry.
                 fresh = _execute_job(
-                    job, cache=self.cache, fingerprint=fingerprint,
-                    snapshots=policy,
+                    job, self.cache, prefix_fps, snapshot_after
                 )
             finally:
                 self.cache.inflight_end()
@@ -262,7 +280,11 @@ class CompileServer:
 
         try:
             outcome = self.flights.do(
-                fingerprint, compute, prefix_keys=tuple(prefix_fps[:-1])
+                fingerprint,
+                compute,
+                prefix_keys=tuple(
+                    prefix_fps[k] for k in sorted(snapshot_after)
+                ),
             )
         except CompileJobError as exc:
             self._count("job_errors")
@@ -356,8 +378,9 @@ class _Handler(BaseHTTPRequestHandler):
         # One NDJSON line per job in *completion* order; the ids let
         # the client reassemble.  HTTP/1.0 close-delimits the body, so
         # lines stream to the client as they flush.
+        plan = self.app.plan(jobs)
         futures = {
-            self.app.pool.submit(self.app.run_job, job, i): i
+            self.app.pool.submit(self.app.run_job, job, i, plan[i]): i
             for i, job in enumerate(jobs)
         }
         for future in as_completed(futures):

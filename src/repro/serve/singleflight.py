@@ -118,19 +118,24 @@ class SingleFlight:
         executing anything.
 
         ``prefix_keys`` extends the dedup to *shared pipeline
-        prefixes* (shallowest first -- the server passes prefix
-        fingerprints): a leader registers them alongside its own key,
-        and a caller whose key misses but whose prefix matches an
-        executing leader waits for that leader to finish **once**
-        before leading itself -- by then the leader's stage snapshots
-        are in the cache, so the resumed compile skips the shared
-        prefix instead of racing the leader through it.  Waiters never
-        hold a flight while waiting, so prefix waits cannot deadlock.
+        prefixes* (shallowest first -- the server passes the prefix
+        fingerprints of exactly the boundaries the job will snapshot,
+        the ones its batch plan shares): a leader registers them
+        alongside its own key, and a caller whose key misses but whose
+        prefix matches an executing leader waits for that leader to
+        finish before leading itself -- by then the leader's stage
+        snapshots are in the cache, so the resumed compile skips the
+        shared prefix instead of racing the leader through it.  The
+        caller re-checks after every wait, so no two callers ever
+        execute through one advertised prefix at the same time.
+        Waiters never hold a flight while waiting, and leaders never
+        wait, so prefix waits cannot deadlock.
 
         Args:
             key: the dedup key (a flow fingerprint, for the server).
             fn: the computation; executed by leaders only.
-            prefix_keys: keys of the pipeline's proper prefixes.
+            prefix_keys: keys of the pipeline prefixes this call will
+                publish.
 
         Returns:
             A :class:`FlightOutcome` carrying the value and whether
@@ -140,7 +145,6 @@ class SingleFlight:
             BaseException: whatever ``fn`` raised, in the leader *and*
                 in every follower of that flight.
         """
-        waited = False
         while True:
             leading = False
             owner: _Flight | None = None
@@ -150,7 +154,7 @@ class SingleFlight:
                     flight.followers += 1
                     with self.stats._lock:
                         self.stats.deduped += 1
-                elif not waited:
+                else:
                     # Deepest shared prefix first: the further along
                     # the owner is, the more of our pipeline its
                     # snapshots cover.
@@ -166,17 +170,15 @@ class SingleFlight:
                     leading = True
                     with self.stats._lock:
                         self.stats.started += 1
-            if owner is not None:
-                # Wait at most once (an executing leader never waits,
-                # so there is no cycle to deadlock on), then re-enter:
-                # the owner may have published exactly our key, in
-                # which case the cache re-check inside ``fn`` wins.
-                with self.stats._lock:
-                    self.stats.prefix_waits += 1
-                owner.done.wait()
-                waited = True
-                continue
-            break
+            if owner is None:
+                break
+            # The owner is executing and never waits, so this ends;
+            # then re-enter: the owner may have published exactly our
+            # key (the cache re-check inside ``fn`` wins), or another
+            # leader may hold one of our prefixes by now.
+            with self.stats._lock:
+                self.stats.prefix_waits += 1
+            owner.done.wait()
         if leading:
             try:
                 flight.result = fn()

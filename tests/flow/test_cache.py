@@ -7,9 +7,11 @@ import pytest
 
 from repro.flow import (
     CompileCache,
+    CompileJob,
     FlowError,
     PassManager,
     SweepStats,
+    compile_many,
     flow_fingerprint,
 )
 from repro.flow.core import Pass, register_pass
@@ -534,12 +536,19 @@ def test_swept_cache_still_works(tmp_path):
 
     cache = CompileCache(tmp_path / "cache")
     pipeline = PassManager.parse("elaborate,optimize")
-    pipeline.compile(module, cache=cache)
+    compile_many(
+        [
+            CompileJob("optimize", pipeline, module=module),
+            CompileJob("balance", "elaborate,balance", module=module),
+        ],
+        cache=cache,
+    )
     swept = cache.sweep(max_bytes=0)
-    # One completed entry, plus the stage-boundary snapshot the
-    # default policy wrote after elaborate -- both evicted.
-    assert swept.removed - swept.removed_snapshots == 1
+    # Two completed entries, plus the snapshot the batch wrote after
+    # the ``elaborate`` the two jobs share -- all evicted.
+    assert swept.removed - swept.removed_snapshots == 2
     assert swept.removed_snapshots == 1
     fresh = CompileCache(tmp_path / "cache")  # cold memory layer
     ctx = pipeline.compile(module, cache=fresh)
     assert ctx.aig is not None and fresh.misses == 1
+    assert "resumed_at" not in ctx.meta  # the swept snapshot is gone

@@ -7,7 +7,6 @@ from repro.flow import (
     CompileCache,
     CompileJob,
     PassManager,
-    SnapshotPolicy,
     compile_many,
 )
 from repro.flow.parallel import _plan_waves
@@ -70,6 +69,15 @@ def test_nested_shared_prefixes_defer_level_by_level():
     assert forced[3] == frozenset({0, 1})
 
 
+def test_a_pipeline_nested_in_another_snapshots_its_final_boundary():
+    """The final boundary follows the same rule as every other: a job
+    whose whole pipeline another job shares snapshots it."""
+    waves, forced = _plan_waves([["a", "b"], ["a", "b", "c"], ["d"]])
+    assert waves == [[0, 2], [1]]
+    assert forced[0] == forced[1] == frozenset({0, 1})
+    assert forced[2] == frozenset()
+
+
 def test_identical_full_fingerprints_serialize():
     """Two content-identical jobs (distinct keys) must not race: the
     full fingerprint counts as shared, so the second one waits a wave
@@ -111,11 +119,9 @@ def shared_prefix_jobs():
 
 
 def test_cold_batch_executes_each_shared_prefix_exactly_once(tmp_path):
-    baseline = compile_many(shared_prefix_jobs(), snapshots=False)
+    baseline = compile_many(shared_prefix_jobs())
     planned = compile_many(
-        shared_prefix_jobs(),
-        cache=CompileCache(tmp_path / "c"),
-        snapshots=SnapshotPolicy(),
+        shared_prefix_jobs(), cache=CompileCache(tmp_path / "c")
     )
     base_total = sum(executed(ctx) for ctx in baseline.values())
     plan_total = sum(executed(ctx) for ctx in planned.values())
@@ -140,13 +146,11 @@ def test_pool_matches_serial_with_prefix_scheduling(tmp_path):
         shared_prefix_jobs(),
         workers=1,
         cache=CompileCache(tmp_path / "serial"),
-        snapshots=SnapshotPolicy(),
     )
     pooled = compile_many(
         shared_prefix_jobs(),
         workers=2,
         cache=CompileCache(tmp_path / "pooled"),
-        snapshots=SnapshotPolicy(),
     )
     assert list(serial) == list(pooled)
     for key in serial:
@@ -161,12 +165,11 @@ def test_memory_only_pool_skips_wave_barriers_but_stays_correct():
     """Workers cannot share a memory-only cache, so the pool path must
     not serialize into waves for nothing -- and results must still be
     byte-identical to the unscheduled baseline."""
-    baseline = compile_many(shared_prefix_jobs(), snapshots=False)
+    baseline = compile_many(shared_prefix_jobs())
     pooled = compile_many(
         shared_prefix_jobs(),
         workers=2,
         cache=CompileCache(),  # no disk path
-        snapshots=SnapshotPolicy(),
     )
     for key in baseline:
         assert record_signature(pooled[key]) == record_signature(
@@ -176,36 +179,20 @@ def test_memory_only_pool_skips_wave_barriers_but_stays_correct():
         assert "resumed_at" not in pooled[key].meta
 
 
-def test_snapshots_off_reproduces_legacy_behaviour(tmp_path):
-    with_cache = compile_many(
-        shared_prefix_jobs(),
-        cache=CompileCache(tmp_path / "c"),
-        snapshots=False,
-    )
-    for ctx in with_cache.values():
-        assert "resumed_at" not in ctx.meta
-        assert executed(ctx) == len(ctx.records)
-
-
 def test_techsweep_grid_resumes_to_a_pinned_execution_count(tmp_path):
     """The small techsweep grid, compiled cold, executes 87 of the 324
-    pass records it executes without snapshots, and every job's result
-    is identical to its from-scratch compile.  Both counts are exact:
-    the planner forces a snapshot at every shared prefix boundary, so
-    they depend on neither timing nor the snapshot policy's knobs."""
-    baseline = compile_many(
-        build_jobs("small"),
-        cache=CompileCache(tmp_path / "baseline"),
-        snapshots=False,
-    )
-    planned = compile_many(
-        build_jobs("small"),
-        cache=CompileCache(tmp_path / "planned"),
-        snapshots=SnapshotPolicy(),
-    )
+    pass records it executes without a cache, and every job's result
+    is identical to its from-scratch compile.  It writes 21 stage
+    snapshots: one at every boundary two or more jobs share, and no
+    other.  All three counts are exact: the planner's rule depends on
+    the batch's inputs alone, never on timing."""
+    baseline = compile_many(build_jobs("small"))
+    cache = CompileCache(tmp_path / "planned")
+    planned = compile_many(build_jobs("small"), cache=cache)
     assert len(planned) == 18
     assert sum(executed(ctx) for ctx in baseline.values()) == 324
     assert sum(executed(ctx) for ctx in planned.values()) == 87
+    assert cache.snapshot_stores == 21
     for key, ctx in planned.items():
         assert record_signature(ctx) == record_signature(baseline[key])
         assert (

@@ -6,12 +6,12 @@ import pytest
 
 from repro.flow import (
     CompileCache,
+    CompileJob,
     PassManager,
-    SnapshotPolicy,
     StageSnapshot,
+    compile_many,
     fingerprint_prefixes,
     flow_fingerprint,
-    resolve_snapshot_policy,
     snapshot_key,
 )
 from repro.flow.cache import SNAPSHOT_VERSION, _dumps
@@ -81,48 +81,6 @@ def test_snapshot_key_is_derived_and_distinct():
 
 
 # ---------------------------------------------------------------------
-# Snapshot policy resolution.
-# ---------------------------------------------------------------------
-
-def test_policy_resolution_and_env(monkeypatch):
-    assert resolve_snapshot_policy(None).enabled
-    assert resolve_snapshot_policy(True).enabled
-    assert not resolve_snapshot_policy(False).enabled
-    pinned = SnapshotPolicy(min_pass_seconds=1.5)
-    assert resolve_snapshot_policy(pinned) is pinned
-
-    monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
-    assert not resolve_snapshot_policy(None).enabled
-    monkeypatch.setenv("REPRO_SNAPSHOTS", "off")
-    assert not resolve_snapshot_policy(None).enabled
-    # An explicit policy beats the environment.
-    assert resolve_snapshot_policy(True).enabled
-
-    monkeypatch.delenv("REPRO_SNAPSHOTS")
-    monkeypatch.setenv("REPRO_SNAPSHOT_MIN_S", "2.5")
-    assert resolve_snapshot_policy(None).min_pass_seconds == 2.5
-    monkeypatch.setenv("REPRO_SNAPSHOT_MIN_S", "not-a-float")
-    assert (
-        resolve_snapshot_policy(None).min_pass_seconds
-        == SnapshotPolicy().min_pass_seconds
-    )
-
-
-def test_should_snapshot_rules():
-    policy = SnapshotPolicy(min_pass_seconds=0.5)
-    assert policy.should_snapshot(wall_time_s=0.0, stage_changed=True)
-    assert policy.should_snapshot(wall_time_s=0.9, stage_changed=False)
-    assert not policy.should_snapshot(wall_time_s=0.1, stage_changed=False)
-    assert policy.should_snapshot(
-        wall_time_s=0.0, stage_changed=False, forced=True
-    )
-    off = SnapshotPolicy(enabled=False)
-    assert not off.should_snapshot(
-        wall_time_s=9.0, stage_changed=True, forced=True
-    )
-
-
-# ---------------------------------------------------------------------
 # Snapshot storage round trips.
 # ---------------------------------------------------------------------
 
@@ -137,7 +95,7 @@ def test_snapshot_roundtrip_returns_fresh_objects(tmp_path):
 
     ctx = FlowContext(module=module)
     pipeline.passes[0].execute(ctx)
-    cache.put_snapshot(fp, ctx, prefix_spec="elaborate", passes_done=1)
+    cache.put_snapshot(fp, ctx)
 
     first = cache.get_snapshot(fp)
     second = cache.get_snapshot(fp)
@@ -158,7 +116,7 @@ def test_snapshot_survives_process_boundary(tmp_path):
     fp = pipeline.prefix_fingerprints(module=module)[0]
     ctx = FlowContext(module=module)
     pipeline.passes[0].execute(ctx)
-    CompileCache(tmp_path).put_snapshot(fp, ctx, passes_done=1)
+    CompileCache(tmp_path).put_snapshot(fp, ctx)
 
     restored = CompileCache(tmp_path).get_snapshot(fp)
     assert restored is not None
@@ -166,58 +124,63 @@ def test_snapshot_survives_process_boundary(tmp_path):
 
 
 def test_resumed_compile_matches_from_scratch(tmp_path):
-    """The correctness bar: seed the cache with a shorter pipeline's
-    snapshots, compile the longer pipeline, get byte-identical
-    results (hashes + records modulo wall time)."""
+    """The correctness bar: one batch holds a shorter pipeline and a
+    longer one sharing its every pass; the longer job resumes from the
+    shorter one's final snapshot and gets byte-identical results
+    (hashes + records modulo wall time)."""
     module = build_rom_module()
     scratch = PassManager.parse(FULL_SPEC).compile(module=module)
 
-    cache = CompileCache(tmp_path)
-    # A prior compile of the shared prefix leaves its snapshots (and
-    # its completed entry) behind...
-    PassManager.parse("elaborate,optimize,resub").compile(
-        module=module, cache=cache, snapshots=SnapshotPolicy(
-            min_pass_seconds=0.0
-        ),
+    batch = compile_many(
+        [
+            CompileJob("prefix", "elaborate,optimize,resub", module=module),
+            CompileJob("full", FULL_SPEC, module=module),
+        ],
+        cache=CompileCache(tmp_path),
     )
-    # ...which the longer pipeline resumes past.
-    resumed = PassManager.parse(FULL_SPEC).compile(
-        module=module, cache=cache
-    )
-    assert resumed.meta.get("passes_skipped", 0) >= 1
-    assert resumed.meta["resumed_at"] in ("optimize", "resub")
+    resumed = batch["full"]
+    assert resumed.meta["passes_skipped"] == 3
+    assert resumed.meta["resumed_at"] == "resub"
     assert resumed.aig.canonical_hash() == scratch.aig.canonical_hash()
     assert resumed.area.total == scratch.area.total
     assert record_signature(resumed) == record_signature(scratch)
 
 
-def test_completed_entry_of_shorter_pipeline_serves_as_resume_point(
-    tmp_path,
-):
-    """Cross-recipe sharing without snapshots: the short pipeline's
-    *entry* (its full fingerprint == the longer one's prefix digest)
-    is a valid resume point even when no snapshot was ever taken."""
+def test_batch_job_resumes_from_a_shorter_jobs_final_snapshot(tmp_path):
+    """A job whose whole pipeline another job of the batch shares
+    snapshots its final boundary, and the longer job resumes from
+    that snapshot -- the only resume source there is."""
     module = build_rom_module()
     cache = CompileCache(tmp_path)
-    PassManager.parse("elaborate,optimize").compile(
-        module=module, cache=cache, snapshots=False
+    batch = compile_many(
+        [
+            CompileJob("short", "elaborate,optimize", module=module),
+            CompileJob("long", "elaborate,optimize,resub", module=module),
+        ],
+        cache=cache,
     )
-    resumed = PassManager.parse("elaborate,optimize,resub").compile(
-        module=module, cache=cache
-    )
+    resumed = batch["long"]
     assert resumed.meta["passes_skipped"] == 2
     assert resumed.meta["resumed_at"] == "optimize"
+    # Both shared boundaries snapshot; the longer job reads the final
+    # one of the shorter job.
+    assert cache.snapshot_stores == 2
+    assert cache.snapshot_hits == 1
     scratch = PassManager.parse("elaborate,optimize,resub").compile(
         module=module
     )
     assert record_signature(resumed) == record_signature(scratch)
+    assert resumed.aig.canonical_hash() == scratch.aig.canonical_hash()
 
 
-def test_snapshots_disabled_writes_and_reads_nothing(tmp_path):
+def test_lone_compile_stores_no_snapshot(tmp_path):
+    """A single compile shares no prefix with another job: it stores
+    its completed entry and no snapshot."""
     cache = CompileCache(tmp_path)
     PassManager.parse(FULL_SPEC).compile(
-        module=build_rom_module(), cache=cache, snapshots=False
+        module=build_rom_module(), cache=cache
     )
+    assert cache.stores == 1
     assert cache.snapshot_stores == 0
     assert cache.stats()["backend"]["snapshots"] == 0
 
@@ -232,22 +195,17 @@ def _seeded(tmp_path):
     pipeline = PassManager.parse("elaborate,optimize")
     module = build_rom_module()
     fps = pipeline.prefix_fingerprints(module=module)
+    done = pipeline.compile(module=module, cache=cache)
     ctx = FlowContext(module=module)
     pipeline.passes[0].execute(ctx)
-    cache.put_snapshot(fps[0], ctx, prefix_spec="elaborate", passes_done=1)
-    done = pipeline.compile(module=module, cache=cache, snapshots=False)
+    cache.put_snapshot(fps[0], ctx)
     return cache, fps, done
 
 
 def test_future_snapshot_version_reads_as_miss(tmp_path):
     cache, fps, _ = _seeded(tmp_path)
     ctx = CompileCache(tmp_path).get_snapshot(fps[0])
-    bad = StageSnapshot(
-        version=SNAPSHOT_VERSION + 1,
-        prefix_spec="elaborate",
-        passes_done=1,
-        ctx=ctx,
-    )
+    bad = StageSnapshot(version=SNAPSHOT_VERSION + 1, ctx=ctx)
     key = snapshot_key(fps[0])
     (tmp_path / "snap" / key[:2] / f"{key}.pkl").write_bytes(_dumps(bad))
     fresh = CompileCache(tmp_path)  # no memory copy: the disk blob rules
@@ -268,14 +226,7 @@ def test_snapshot_blob_under_entry_key_reads_as_entry_miss(tmp_path):
     leak a StageSnapshot out of CompileCache.get."""
     cache, fps, done = _seeded(tmp_path)
     key = fps[-1]
-    snapshot_blob = _dumps(
-        StageSnapshot(
-            version=SNAPSHOT_VERSION,
-            prefix_spec="elaborate,optimize",
-            passes_done=2,
-            ctx=done,
-        )
-    )
+    snapshot_blob = _dumps(StageSnapshot(version=SNAPSHOT_VERSION, ctx=done))
     (tmp_path / key[:2] / f"{key}.pkl").write_bytes(snapshot_blob)
     assert CompileCache(tmp_path).get(key) is None
 
@@ -295,8 +246,9 @@ def test_snapshots_invisible_to_pre_snapshot_entry_listing(tmp_path):
     # on rather than silently misuse.
     envelope = pickle.loads(snapshot_files[0].read_bytes())
     assert isinstance(envelope, StageSnapshot)
-    assert envelope.version == SNAPSHOT_VERSION
-    assert envelope.passes_done == 1
+    assert envelope.version == SNAPSHOT_VERSION == 2
+    # The key says how far the context got: after ``elaborate`` alone.
+    assert [r.name for r in envelope.ctx.records] == ["elaborate"]
 
 
 # ---------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Property: a resumed compile equals a from-scratch one everywhere.
 
 For every pipeline and every split point, a compile that resumes
-from a cached prefix (stage snapshot or a shorter pipeline's
-completed entry) must be byte-identical to the same pipeline run from
-scratch: canonical hashes, areas, and pass records -- including the
-progress/rollback flags -- with only wall times free to differ.  This is the correctness bar the whole
+from a cached prefix (the stage snapshot a shorter job of the same
+batch left at its final boundary) must be byte-identical to the same
+pipeline run from scratch: canonical hashes, areas, and pass records
+-- including the progress/rollback flags -- with only wall times free
+to differ.  This is the correctness bar the whole
 incremental-compilation layer rests on.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flow import CompileCache, PassManager, SnapshotPolicy
+from repro.flow import CompileCache, CompileJob, PassManager, compile_many
 from tests.helpers import build_table_aig, frontend_inputs
 
 #: (name, spec, input kwargs) -- an AIG-stage pipeline covering all
@@ -70,18 +71,18 @@ def test_resume_equals_from_scratch(tmp_path_factory, name, split):
     scratch = PassManager.parse(spec).compile(**make_inputs())
 
     tmp = tmp_path_factory.mktemp(f"resume-{name}-{split}")
-    cache = CompileCache(tmp)
-    # Seed the cache by genuinely running the prefix pipeline with
-    # snapshots on -- it leaves both its stage snapshots and its
-    # completed entry behind; whichever the probe finds first must
-    # produce the same result.
-    prefix.compile(
-        **inputs,
-        cache=cache,
-        snapshots=SnapshotPolicy(min_pass_seconds=0.0),
+    # One batch holding the prefix pipeline and the full pipeline: the
+    # prefix job snapshots every boundary the two share, its final one
+    # included, and the full job resumes from that snapshot.
+    batch = compile_many(
+        [
+            CompileJob("prefix", prefix, **inputs),
+            CompileJob("full", spec, **make_inputs()),
+        ],
+        cache=CompileCache(tmp),
     )
-    resumed = PassManager.parse(spec).compile(**make_inputs(), cache=cache)
+    resumed = batch["full"]
 
-    assert resumed.meta.get("passes_skipped", 0) >= split
+    assert resumed.meta["passes_skipped"] == split
     assert record_signature(resumed) == record_signature(scratch)
     assert final_identity(resumed) == final_identity(scratch)

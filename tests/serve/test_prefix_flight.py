@@ -1,11 +1,14 @@
 """Prefix-aware single-flight, alone and inside the server."""
 
+import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from repro.flow import CompileCache, CompileJob, PassManager, SnapshotPolicy
+from repro.expts.techsweep import build_jobs
+from repro.flow import CompileCache, CompileJob, PassManager, compile_many
 from repro.rtl.builder import ModuleBuilder
 from repro.serve import CompileServer, ServeClient, SingleFlight
 
@@ -113,6 +116,52 @@ def test_prefix_table_entries_are_cleaned_up():
         assert not flights._prefixes
 
 
+def test_no_two_callers_run_through_one_advertised_prefix_at_once():
+    """A caller re-checks its prefixes after every wait, so it never
+    leads while another leader holds one of them -- even when that
+    leader was elected while the caller was waiting on a third.  Eight
+    threads over a two-level prefix trie, with a short switch
+    interval; any overlap is a lost exactly-once guarantee."""
+    flights = SingleFlight()
+    lock = threading.Lock()
+    running: Counter = Counter()
+    overlaps = []
+
+    def call(i: int) -> None:
+        keys = ("root", f"mid-{i % 3}")
+
+        def fn():
+            with lock:
+                running.update(keys)
+                overlaps.extend(k for k in keys if running[k] > 1)
+            time.sleep(0.002)
+            with lock:
+                running.subtract(keys)
+            return i
+
+        flights.do(f"full-{i}", fn, prefix_keys=keys)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(
+                target=lambda t=t: [call(t * 6 + j) for j in range(6)]
+            )
+            for t in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert overlaps == []
+    assert flights.stats.to_json()["started"] == 48
+    assert flights.inflight() == 0
+
+
 # ---------------------------------------------------------------------
 # Server end to end.
 # ---------------------------------------------------------------------
@@ -120,11 +169,7 @@ def test_prefix_table_entries_are_cleaned_up():
 @pytest.fixture()
 def server(tmp_path):
     cache = CompileCache(tmp_path / "cache")
-    with CompileServer(
-        cache=cache,
-        workers=2,
-        snapshots=SnapshotPolicy(min_pass_seconds=0.0),
-    ) as srv:
+    with CompileServer(cache=cache, workers=2) as srv:
         yield srv
 
 
@@ -155,3 +200,34 @@ def test_server_batch_resumes_shared_prefix(server):
         local = PassManager.parse(spec).compile(module=module, seed=7)
         assert record_signature(results[key]) == record_signature(local)
         assert results[key].area.total == local.area.total
+
+
+@pytest.fixture(scope="module")
+def small_grid_from_scratch():
+    return compile_many(build_jobs("small"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_server_plans_a_batch_like_compile_many(
+    tmp_path, small_grid_from_scratch, workers
+):
+    """One POST of the small techsweep grid executes exactly the 87
+    pass records ``compile_many`` executes on it, and stores the same
+    21 snapshots, with any number of pool workers: the server plans
+    the batch with the same rule, and a job that shares a prefix with
+    an executing leader waits for it instead of racing it."""
+    cache = CompileCache(tmp_path / "cache")
+    with CompileServer(cache=cache, workers=workers) as srv:
+        served = ServeClient(srv.url).compile(build_jobs("small"))
+    executed = sum(
+        len(ctx.records) - int(ctx.meta.get("resumed_records", 0))
+        for ctx in served.values()
+    )
+    assert executed == 87
+    assert cache.snapshot_stores == 21
+    assert set(served) == set(small_grid_from_scratch)
+    for key, ctx in served.items():
+        scratch = small_grid_from_scratch[key]
+        assert record_signature(ctx) == record_signature(scratch)
+        assert ctx.aig.canonical_hash() == scratch.aig.canonical_hash()
+        assert ctx.area.total == scratch.area.total
