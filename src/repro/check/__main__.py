@@ -11,8 +11,9 @@ Subcommands::
                      corpus (reachability, constants, dead logic --
                      the CHK7xx family)
     registry         the pass registry with per-pass option schemas
-    self             lock-discipline lint over the serve stack and the
-                     compile cache (``--self`` works as an alias)
+    self             lock-discipline lint over the serve stack, the
+                     compile cache and the spec analysis memo
+                     (``--self`` works as an alias)
 
 Exit status: 0 clean, 1 findings (warnings count only under
 ``--strict``), 2 usage errors.  ``--format json`` emits one JSON array
@@ -314,8 +315,8 @@ def main(argv=None) -> int:
     commands.add_parser(
         "self",
         parents=[common],
-        help="lock-discipline lint over repro.serve and the compile "
-        "cache",
+        help="lock-discipline lint over repro.serve, the compile "
+        "cache and the spec analysis memo",
     )
 
     args = parser.parse_args(argv)

@@ -43,10 +43,12 @@ _SUPPRESS_RE = re.compile(r"#\s*unguarded-ok\b")
 
 def default_lock_paths() -> "list[Path]":
     """The concurrency-sensitive modules the repo lints by default:
-    every serve module plus the compile cache."""
+    every serve module, the compile cache, and the pass manager (its
+    spec analysis memo)."""
     package = Path(__file__).resolve().parents[1]
     paths = sorted((package / "serve").glob("*.py"))
     paths.append(package / "flow" / "cache.py")
+    paths.append(package / "flow" / "manager.py")
     return paths
 
 

@@ -35,7 +35,12 @@ from repro.flow.core import (
     registered_pass_names,
     suggest_name,
 )
-from repro.flow.manager import _parse_item, _parse_options, _split_items
+from repro.flow.manager import (
+    _parse_item,
+    _parse_options,
+    _split_items,
+    remember_analysis,
+)
 from repro.flow.schema import IR_KIND_CLASSES, PassSchema, check_option
 
 _STAGE_ORDER = {stage: index for index, stage in enumerate(STAGES)}
@@ -184,16 +189,50 @@ def check_manager(
     )
 
 
+def check_spec_once(
+    spec: str,
+    *,
+    input_stage: "str | None" = None,
+    ir_kind: "str | None" = None,
+    has_bindings: "bool | None" = None,
+) -> "list[Diagnostic]":
+    """:func:`check_spec`, computed once per process for each spec and
+    argument set.
+
+    The result is kept in the spec analysis memo
+    (:func:`~repro.flow.manager.remember_analysis`), which forgets it
+    when a pass, schema or library factory is registered, removed or
+    swapped, and which is bounded.  A compile server checks the same
+    few specs over and over; checking one builds every pass, and a
+    ``map{library=...}`` item builds its library.
+    """
+    found = remember_analysis(
+        ("check", spec, input_stage, ir_kind, has_bindings),
+        lambda: tuple(
+            check_spec(
+                spec,
+                input_stage=input_stage,
+                ir_kind=ir_kind,
+                has_bindings=has_bindings,
+            )
+        ),
+    )
+    return list(found)
+
+
 def check_job(job) -> "list[Diagnostic]":
     """Typecheck one :class:`~repro.flow.parallel.CompileJob` -- the
     compile server's admission check.  A job's pipeline may be a spec
-    string or a manager; its inputs determine the entry stage."""
+    string or a manager; its inputs determine the entry stage.  A spec
+    string is checked once per process for each entry stage, IR kind
+    and bindings flag it arrives with (:func:`check_spec_once`); a
+    manager is checked afresh (:func:`check_manager`)."""
     input_stage, ir_kind = input_stage_of(
         ctrl=job.ctrl, module=job.module, aig=job.aig
     )
     has_bindings = job.bindings is not None
     if isinstance(job.pipeline, str):
-        return check_spec(
+        return check_spec_once(
             job.pipeline,
             input_stage=input_stage,
             ir_kind=ir_kind,

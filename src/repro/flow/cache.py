@@ -26,7 +26,12 @@ can share a single instance (disk I/O happens outside the lock, which
 the atomic entry files make safe).
 
 Cached contexts must be treated as read-only: an in-memory hit returns
-the stored object itself.
+the stored object itself.  A memory entry also keeps the context's
+pickle bytes once something needs them -- a disk hit, which loaded
+them, or a served hit (:meth:`CompileCache.hit_bytes`), which pickles
+at most once per entry -- so a warm compile server answers from bytes.
+:meth:`CompileCache.put` keeps none: a batch would hold both its
+results and their pickles.
 
 Beside completed entries the cache keeps *stage snapshots*: the
 context after a pipeline prefix, keyed by that prefix's fingerprint
@@ -103,6 +108,13 @@ SNAPSHOT_KIND = "snapshot"
 #: mid-pipeline contexts -- bigger and shorter-lived than completed
 #: entries -- so they get their own, smaller bound.
 MAX_SNAPSHOT_ENTRIES = 32
+
+#: The lookup and store counters of a :class:`CompileCache`
+#: (:meth:`CompileCache.counts`).
+COUNTERS = (
+    "memory_hits", "disk_hits", "misses", "stores",
+    "snapshot_hits", "snapshot_misses", "snapshot_stores",
+)
 
 #: The pickle-tolerance set: anything a truncated, stale, or
 #: wrong-version entry can raise while loading.  Shared by every
@@ -508,7 +520,8 @@ class CompileCache:
         #: an unguarded OrderedDict corrupts under concurrent movers.
         #: Backend I/O and (un)pickling happen outside the lock.
         self._lock = threading.Lock()
-        self._memory: OrderedDict[str, "FlowContext"] = OrderedDict()  # guarded-by: _lock
+        #: Fingerprint -> (context, its pickle bytes or ``None``).
+        self._memory: OrderedDict[str, tuple] = OrderedDict()  # guarded-by: _lock
         #: The snapshot LRU stores pickled envelope *bytes*, never the
         #: unpickled context: resuming mutates the restored context in
         #: place, so handing two resumes one shared object would let
@@ -538,8 +551,10 @@ class CompileCache:
     def get(self, key: str) -> "FlowContext | None":
         """Look up a completed context by fingerprint.
 
-        A backend hit is promoted into the memory layer.  Corrupt or
-        truncated backend entries read as misses, never as errors.
+        A backend hit is promoted into the memory layer together with
+        the bytes it loaded and validated, so :meth:`hit_bytes` serves
+        exactly those.  Corrupt or truncated backend entries read as
+        misses, never as errors.
 
         Args:
             key: a :func:`flow_fingerprint` digest.
@@ -549,20 +564,39 @@ class CompileCache:
             share one object), or ``None`` on a miss.
         """
         with self._lock:
-            hit = self._memory.get(key)
-            if hit is not None:
+            entry = self._memory.get(key)
+            if entry is not None:
                 self._memory.move_to_end(key)
                 self.memory_hits += 1
-                return hit
-        hit = self._backend_get(key)
-        if hit is not None:
+                return entry[0]
+        loaded = self._backend_get(key)
+        if loaded is not None:
             with self._lock:
                 self.disk_hits += 1
-            self.put_memory(key, hit)
-            return hit
+            self._remember(key, loaded)
+            return loaded[0]
         with self._lock:
             self.misses += 1
         return None
+
+    def hit_bytes(self, key: str, ctx: "FlowContext") -> bytes:
+        """The pickle bytes of ``ctx``, which :meth:`get` just returned
+        for ``key`` -- what a compile server sends for a hit.
+
+        The memory entry keeps them: a disk hit already holds the bytes
+        it loaded, and otherwise the first call pickles ``ctx`` (outside
+        the lock) and every later call returns the same bytes.  An
+        entry evicted or replaced meanwhile is pickled and not kept.
+        """
+        with self._lock:
+            entry = self._memory.get(key)
+        if entry is not None and entry[0] is ctx and entry[1] is not None:
+            return entry[1]
+        blob = _dumps(ctx)
+        with self._lock:
+            if entry is not None and self._memory.get(key) is entry:
+                self._memory[key] = (ctx, blob)
+        return blob
 
     def put(self, key: str, ctx: "FlowContext") -> None:
         """Store a completed context under ``key`` (memory and
@@ -572,7 +606,9 @@ class CompileCache:
             key: a :func:`flow_fingerprint` digest.
             ctx: the finished flow context; stored by reference in
                 memory and pickled to the backend, so do not mutate it
-                after storing.
+                after storing.  The memory entry keeps no pickle
+                bytes: a batch would hold both its results and their
+                pickles.
 
         Raises:
             OSError: a local backend's directory is not writable.
@@ -667,6 +703,21 @@ class CompileCache:
             f"{stats['stores']} stores"
         )
 
+    def counts(self) -> "dict[str, int]":
+        """The lookup and store counters, by name (:data:`COUNTERS`)."""
+        with self._lock:
+            return {name: getattr(self, name) for name in COUNTERS}
+
+    def add_counts(self, counts: "dict[str, int]") -> None:
+        """Add another instance's :meth:`counts` to this one's.  A
+        ``compile_many`` pool worker looks up and stores through a
+        cache of its own over the shared directory; the batch's cache
+        adds the worker's counts, so a pooled batch reports what a
+        serial one does."""
+        with self._lock:
+            for name in COUNTERS:
+                setattr(self, name, getattr(self, name) + counts.get(name, 0))
+
     # -- in-flight accounting -----------------------------------------
     def inflight_begin(self) -> None:
         """Mark one cache-missing compile as executing (server
@@ -682,20 +733,26 @@ class CompileCache:
     def put_memory(self, key: str, ctx: "FlowContext") -> None:
         """Store in the memory layer only (used when the backend was
         already written by a worker process)."""
+        self._remember(key, (ctx, None))
+
+    def _remember(self, key: str, entry: tuple) -> None:
         with self._lock:
-            self._memory[key] = ctx
+            self._memory[key] = entry
             self._memory.move_to_end(key)
             while len(self._memory) > self.max_memory_entries:
                 self._memory.popitem(last=False)
 
     # -- the backend layer --------------------------------------------
-    def _backend_get(self, key: str) -> "FlowContext | None":
+    def _backend_get(self, key: str) -> "tuple | None":
+        """``(context, the bytes it unpickled from)`` for a valid
+        backend entry, else ``None``."""
         if self.backend is None:
             return None
         blob = self.backend.load(key, kind=ENTRY_KIND)
         if blob is None:
             return None
-        return _loads(blob)
+        ctx = _loads(blob)
+        return None if ctx is None else (ctx, blob)
 
     # -- garbage collection -------------------------------------------
     def sweep(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import difflib
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -497,6 +498,25 @@ def register_pass(name: str, schema: "PassSchema | None" = None):
 
 def registered_pass_names() -> list[str]:
     return sorted(PASS_REGISTRY)
+
+
+def registry_snapshot(*registries: dict) -> "tuple[tuple, tuple]":
+    """The names and the objects ``registries`` bind, in order.  A
+    snapshot holds the objects themselves, so their ids cannot be
+    reused while it lives, and :func:`same_registry` can compare two
+    snapshots by identity."""
+    names: tuple = ()
+    objects: tuple = ()
+    for registry in registries:
+        names += tuple(registry)
+        objects += tuple(registry.values())
+    return names, objects
+
+
+def same_registry(old: tuple, new: tuple) -> bool:
+    """Do two :func:`registry_snapshot` results bind the same objects
+    under the same names?"""
+    return old[0] == new[0] and all(map(operator.is_, old[1], new[1]))
 
 
 def pass_schema(name: str) -> "PassSchema | None":

@@ -15,25 +15,44 @@ A :class:`PassManager` can be built three ways:
 
 ``spec()`` renders a manager back to the string form; for pipelines
 built purely from registered passes the two round-trip.
+
+What a spec string alone determines -- its canonical rendering, its
+prefix specs and its spec-check diagnostics -- is computed once per
+distinct spec per process, in one bounded memo
+(:func:`prefix_specs_of`, :func:`remember_analysis`).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+import threading
+from collections import OrderedDict
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from repro.flow.combinators import Conditional, Repeat
 from repro.flow.core import (
+    PASS_REGISTRY,
+    PASS_SCHEMAS,
     FlowContext,
     FlowError,
     Pass,
     ensure_recursion_headroom,
     make_pass,
     parse_spec_value,
+    registry_snapshot,
+    same_registry,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TIMES_RE = re.compile(r"\[(\d+)\]")
+
+#: Bound of the spec-analysis memo: how many analyses (one per distinct
+#: spec string, plus one per distinct spec-check argument set) a
+#: process keeps, least recently used out first.  A constant, so a
+#: client sending endless distinct specs cannot grow a server.
+MAX_SPEC_ANALYSES = 128
+
+_T = TypeVar("_T")
 
 
 def _split_top_level(
@@ -379,6 +398,94 @@ class PassManager:
             return f"PassManager({self.spec()!r})"
         except FlowError:
             return f"PassManager(<{len(self.passes)} passes, no spec form>)"
+
+
+def _registry_snapshot() -> "tuple[tuple, tuple]":
+    """Every name -> object binding a spec's analysis reads: the pass
+    registry, the pass schemas and the library factories."""
+    # Imported here: the library registry loads after this module.
+    from repro.flow.passes import LIBRARY_FACTORIES
+
+    return registry_snapshot(PASS_REGISTRY, PASS_SCHEMAS, LIBRARY_FACTORIES)
+
+
+class _AnalysisMemo:
+    """The bounded LRU behind :func:`remember_analysis`.  Its entries
+    are valid only for the registry snapshot they were computed under:
+    any pass, schema or library factory added, removed or swapped
+    empties it on the next lookup."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()  # guarded-by: _lock
+        self._registry: tuple = ((), ())  # guarded-by: _lock
+
+    def lookup(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        registry = _registry_snapshot()
+        with self._lock:
+            if not same_registry(self._registry, registry):
+                self._entries.clear()
+                self._registry = registry
+            registry = self._registry
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        # Computed outside the lock: an analysis can take milliseconds,
+        # and two threads racing on one key compute equal values.
+        value = compute()
+        if not same_registry(registry, _registry_snapshot()):
+            return value  # the registry moved under the computation
+        with self._lock:
+            if self._registry is registry:
+                self._entries[key] = value
+                while len(self._entries) > MAX_SPEC_ANALYSES:
+                    self._entries.popitem(last=False)
+        return value
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+_ANALYSES = _AnalysisMemo()
+
+
+def remember_analysis(key: Hashable, compute: Callable[[], _T]) -> _T:
+    """``compute()``, or what it returned for ``key`` before.
+
+    The one memo of everything a pipeline spec string determines,
+    shared by :func:`prefix_specs_of` and the spec check
+    (:func:`repro.check.spec.check_job`).  ``compute`` must depend on
+    nothing but ``key`` and the registries (passes, schemas, library
+    factories): an entry is dropped as soon as any of them binds a
+    different object, and at most :data:`MAX_SPEC_ANALYSES` entries
+    are kept.  Values are shared between callers, so make them
+    immutable.
+    """
+    return _ANALYSES.lookup(key, compute)
+
+
+def prefix_specs_of(spec: str) -> "list[str]":
+    """``PassManager.parse(spec).prefix_specs()`` -- the last element is
+    the canonical spec -- computed once per distinct spec per process
+    (:func:`remember_analysis`).  A compile server sees the same few
+    specs over and over; parsing one builds every pass, and a
+    ``map{library=...}`` item builds its library.
+
+    Raises:
+        FlowError: what parsing or rendering the spec raised.
+    """
+    specs, error = remember_analysis(("spec", spec), lambda: _analyse(spec))
+    if error is not None:
+        raise FlowError(error)
+    return list(specs)
+
+
+def _analyse(spec: str) -> "tuple[tuple[str, ...], str | None]":
+    try:
+        return tuple(PassManager.parse(spec).prefix_specs()), None
+    except FlowError as exc:
+        return (), str(exc)
 
 
 def prepare_resume(

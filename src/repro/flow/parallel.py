@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
-from repro.flow.cache import CompileCache
+from repro.flow.cache import CompileCache, fingerprint_prefixes
 from repro.flow.core import (
     FlowContext,
     FlowError,
@@ -36,7 +36,12 @@ from repro.flow.core import (
     ensure_recursion_headroom,
     render_log,
 )
-from repro.flow.manager import PassManager, prepare_resume, run_resumable
+from repro.flow.manager import (
+    PassManager,
+    prefix_specs_of,
+    prepare_resume,
+    run_resumable,
+)
 
 if TYPE_CHECKING:
     from repro.aig.graph import AIG
@@ -115,9 +120,21 @@ def _job_inputs(job: CompileJob) -> dict:
 
 
 def _job_prefix_fingerprints(job: CompileJob) -> list[str]:
-    """The job's prefix fingerprints; the last is its cache key."""
-    pipeline = _resolve_pipeline(job.pipeline)
-    return pipeline.prefix_fingerprints(**_job_inputs(job))
+    """The job's prefix fingerprints; the last is its cache key.
+
+    A spec-string pipeline's prefix specs come from the process's spec
+    analysis memo (:func:`~repro.flow.manager.prefix_specs_of`), so a
+    spec seen before costs only the hashing of the job's inputs.
+
+    Raises:
+        FlowError: the spec does not parse, or the pipeline has no
+            spec form.
+    """
+    if isinstance(job.pipeline, str):
+        prefix_specs = prefix_specs_of(job.pipeline)
+    else:
+        prefix_specs = job.pipeline.prefix_specs()
+    return fingerprint_prefixes(prefix_specs, **_job_inputs(job))
 
 
 def _execute_job(
@@ -167,11 +184,15 @@ def _worker_run(
     cache_path: str | None,
     fingerprints: Sequence[str],
     snapshot_after: frozenset,
-) -> FlowContext:
-    """Entry point executed inside a pool worker."""
+) -> "tuple[FlowContext, dict[str, int]]":
+    """Entry point executed inside a pool worker: the job's context
+    and the :meth:`~repro.flow.cache.CompileCache.counts` of the
+    worker's own cache over the shared directory (empty without one),
+    for the batch's cache to add."""
     ensure_recursion_headroom()
     cache = None if cache_path is None else CompileCache(path=cache_path)
-    return _execute_job(job, cache, fingerprints, snapshot_after)
+    ctx = _execute_job(job, cache, fingerprints, snapshot_after)
+    return ctx, {} if cache is None else cache.counts()
 
 
 def _pool_context():
@@ -270,7 +291,9 @@ def compile_many(
     is spawned for them); misses computed by workers are folded back
     into the parent's memory layer, and the disk layer -- when the
     cache has a ``path`` -- is shared with the workers directly
-    (atomic entry files make concurrent writers safe).  A memory-only
+    (atomic entry files make concurrent writers safe).  The cache's
+    counters then include the workers' stores and snapshot probes, so
+    a pooled batch reports the same counts as a serial one.  A memory-only
     cache still dedups across one ``compile_many`` call, but workers
     cannot share it.  ``cache=None`` compiles every job from scratch:
     nothing is looked up, resumed or stored.
@@ -393,7 +416,7 @@ def compile_many(
                 for position, future in futures:
                     index, job, fingerprints = pending[position]
                     try:
-                        ctx = future.result()
+                        ctx, counts = future.result()
                     except CompileJobError as exc:
                         failures.append((index, exc))
                         continue
@@ -401,8 +424,9 @@ def compile_many(
                     if cache is not None:
                         # The worker already published to the shared
                         # disk layer; fold into the parent's memory
-                        # layer too.
+                        # layer too, and count what it stored.
                         cache.put_memory(fingerprints[-1], ctx)
+                        cache.add_counts(counts)
         if failures:
             # Deterministic: the earliest job in submission order
             # raises, exactly as the serial path would.

@@ -44,6 +44,8 @@ from repro.flow.core import (
     Pass,
     describe_registry,
     register_pass,
+    registry_snapshot,
+    same_registry,
 )
 from repro.flow.schema import Option, PassSchema
 from repro.synth.dc_options import (
@@ -700,20 +702,14 @@ def registered_libraries_digest() -> str:
     happens when a test swaps one in.
     """
     global _LIBRARIES_DIGEST_CACHE
-    snapshot = tuple(
-        sorted(LIBRARY_FACTORIES.items(), key=lambda item: item[0])
-    )
-    if _LIBRARIES_DIGEST_CACHE is not None:
-        cached_snapshot, cached_digest = _LIBRARIES_DIGEST_CACHE
-        if len(cached_snapshot) == len(snapshot) and all(
-            old[0] == new[0] and old[1] is new[1]
-            for old, new in zip(cached_snapshot, snapshot)
-        ):
-            return cached_digest
+    snapshot = registry_snapshot(LIBRARY_FACTORIES)
+    cached = _LIBRARIES_DIGEST_CACHE
+    if cached is not None and same_registry(cached[0], snapshot):
+        return cached[1]
     import hashlib
 
     digest = hashlib.sha256()
-    for name, factory in snapshot:
+    for name, factory in sorted(zip(*snapshot), key=lambda item: item[0]):
         digest.update(repr((name, factory().canonical_hash())).encode())
     _LIBRARIES_DIGEST_CACHE = (snapshot, digest.hexdigest())
     return _LIBRARIES_DIGEST_CACHE[1]

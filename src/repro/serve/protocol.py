@@ -19,7 +19,10 @@ The response is NDJSON: one JSON object per job, written in
 fingerprint, a cache-hit flag, a single-flight dedup flag, the
 server-side wall time, and either the completed context (base64
 pickle -- byte-identical to what a local compile would produce) or
-the error.
+the error.  A hit's ``ctx`` is the base64 of the server cache entry's
+own pickle bytes (:meth:`~repro.flow.cache.CompileCache.hit_bytes`):
+a warm server pickles each entry at most once, however often it is
+served.
 
 Trust model: pickles execute what their bytes describe.  The server
 deserializes job payloads and the client deserializes result
@@ -38,7 +41,7 @@ from typing import TYPE_CHECKING
 from repro.check.diagnostics import Diagnostic
 from repro.flow.cache import UNPICKLE_ERRORS
 from repro.flow.core import FlowError
-from repro.flow.manager import PassManager
+from repro.flow.manager import prefix_specs_of
 from repro.flow.parallel import CompileJob, CompileJobError
 
 if TYPE_CHECKING:
@@ -75,9 +78,11 @@ class SpecCheckError(CompileJobError):
 
 
 def _b64(obj) -> str:
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
+    return _b64_bytes(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _b64_bytes(blob: bytes) -> str:
+    return base64.b64encode(blob).decode("ascii")
 
 
 def _unb64(text: str):
@@ -93,7 +98,10 @@ def encode_job(job: CompileJob, index: int) -> dict:
     The pipeline travels as its *rendered spec string* -- the same
     canonical form the fingerprint hashes -- so a pipeline whose
     parameters cannot round-trip through spec syntax raises here
-    rather than compiling something subtly different server-side.
+    rather than compiling something subtly different server-side.  A
+    spec string is rendered once per process
+    (:func:`~repro.flow.manager.prefix_specs_of`); a manager is
+    rendered on every call.
 
     Args:
         job: the compile job; ``job.key`` stays client-side.
@@ -104,7 +112,7 @@ def encode_job(job: CompileJob, index: int) -> dict:
             pipeline.
     """
     if isinstance(job.pipeline, str):
-        spec = PassManager.parse(job.pipeline).spec()
+        spec = prefix_specs_of(job.pipeline)[-1]
     else:
         spec = job.pipeline.spec()
     library_name = None if job.library is None else job.library.name
@@ -193,7 +201,10 @@ class JobResult:
     server answered from its cache (memory or backend); ``deduped``
     means this job rode another in-flight identical compile
     (single-flight) instead of executing; ``wall_time_s`` is the
-    server-side handling time of this job.
+    server-side handling time of this job.  ``ctx_bytes`` is set only
+    server-side, for a context the cache already holds: its pickle
+    bytes, which :func:`encode_result` sends instead of pickling
+    ``ctx`` again.  A decoded result never carries it.
     """
 
     index: int
@@ -203,10 +214,13 @@ class JobResult:
     cache_hit: bool = False
     deduped: bool = False
     wall_time_s: float = 0.0
+    ctx_bytes: "bytes | None" = None
 
 
 def encode_result(result: JobResult) -> dict:
-    """One NDJSON response line."""
+    """One NDJSON response line.  Its ``ctx`` is the base64 of
+    ``result.ctx_bytes`` when set (a hit: the cache's bytes, nothing
+    pickled here), else of a fresh pickle of ``result.ctx``."""
     line = {
         "id": result.index,
         "fingerprint": result.fingerprint,
@@ -228,6 +242,8 @@ def encode_result(result: JobResult) -> dict:
                 for diagnostic in result.error.diagnostics
             ]
         line["error"] = error_line
+    elif result.ctx_bytes is not None:
+        line["ctx"] = _b64_bytes(result.ctx_bytes)
     else:
         line["ctx"] = _b64(result.ctx)
     return line

@@ -211,6 +211,14 @@ class CompileServer:
         :meth:`plan`: the boundaries it snapshots if it compiles, and
         whose prefix fingerprints it advertises as flight keys.
 
+        A hit costs the spec check and the prefix specs from the
+        process's spec analysis memo, the hashing of the job's inputs,
+        and one :meth:`~repro.flow.cache.CompileCache.get`; it carries
+        the cache entry's pickle bytes
+        (:meth:`~repro.flow.cache.CompileCache.hit_bytes`), so
+        :func:`~repro.serve.protocol.encode_result` pickles nothing for
+        it.
+
         Never raises -- failures come back as error results so one bad
         job cannot poison the rest of a streamed batch.  ``job.key``
         is the wire index (set by the protocol decoder), so error
@@ -253,7 +261,12 @@ class CompileServer:
 
         ctx = self.cache.get(fingerprint)
         if ctx is not None:
-            return done(fingerprint=fingerprint, ctx=ctx, cache_hit=True)
+            return done(
+                fingerprint=fingerprint,
+                ctx=ctx,
+                ctx_bytes=self.cache.hit_bytes(fingerprint, ctx),
+                cache_hit=True,
+            )
 
         def compute() -> tuple:
             # Re-check under the flight: a previous leader may have
@@ -298,9 +311,15 @@ class CompileServer:
                 ),
             )
         ctx, was_cached, _ = outcome.value
-        if outcome.deduped:
-            return done(fingerprint=fingerprint, ctx=ctx, deduped=True)
-        return done(fingerprint=fingerprint, ctx=ctx, cache_hit=was_cached)
+        return done(
+            fingerprint=fingerprint,
+            ctx=ctx,
+            ctx_bytes=(
+                self.cache.hit_bytes(fingerprint, ctx) if was_cached else None
+            ),
+            cache_hit=was_cached and not outcome.deduped,
+            deduped=outcome.deduped,
+        )
 
 
 class _Handler(BaseHTTPRequestHandler):

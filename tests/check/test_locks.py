@@ -193,6 +193,7 @@ def test_default_paths_cover_serve_and_cache():
     assert "server.py" in names
     assert "singleflight.py" in names
     assert "cache.py" in names
+    assert "manager.py" in names
 
 
 def test_real_tree_is_clean():

@@ -2,6 +2,7 @@
 and the size/age sweep (``CompileCache.sweep``)."""
 
 import os
+import pickle
 
 import pytest
 
@@ -399,6 +400,11 @@ def test_cache_is_thread_safe_under_concurrent_traffic(tmp_path):
                         cache.inflight_end()
                 else:
                     assert hit.area.total == contexts[scale].area.total
+                    blob = cache.hit_bytes(key, hit)
+                    assert (
+                        pickle.loads(blob).area.total
+                        == contexts[scale].area.total
+                    )
         except Exception as exc:  # surfaced below; threads swallow
             errors.append(exc)
 

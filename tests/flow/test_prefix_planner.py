@@ -199,3 +199,24 @@ def test_techsweep_grid_resumes_to_a_pinned_execution_count(tmp_path):
             ctx.aig.canonical_hash() == baseline[key].aig.canonical_hash()
         )
         assert ctx.area.total == baseline[key].area.total
+
+
+def test_a_pooled_batch_counts_what_a_serial_batch_does(tmp_path):
+    """Pool workers look up and store through caches of their own over
+    the shared directory; the batch's cache adds their counts, so the
+    small techsweep grid reports its 18 entries and 21 snapshots either
+    way."""
+    names = (
+        "memory_hits", "disk_hits", "misses", "stores",
+        "snapshot_hits", "snapshot_misses", "snapshot_stores",
+    )
+    counts = {}
+    for workers in (1, 2):
+        cache = CompileCache(tmp_path / f"workers{workers}")
+        compile_many(build_jobs("small"), workers=workers, cache=cache)
+        stats = cache.stats()
+        counts[workers] = {name: stats[name] for name in names}
+        assert stats["backend"]["entries"] == 18
+        assert stats["backend"]["snapshots"] == 21
+    assert counts[2] == counts[1]
+    assert counts[2]["stores"] == 18 and counts[2]["snapshot_stores"] == 21
