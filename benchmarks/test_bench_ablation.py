@@ -24,19 +24,15 @@ from repro.controllers import (
 )
 from repro.controllers.fsm_random import random_fsm
 from repro.controllers.fsm_rtl import fsm_to_table_rtl
-from repro.flow import (
-    CompileJob,
-    PassManager,
-    compile_many,
-    optimize_loop,
-    state_folding,
-)
+from repro.flow import CompileJob, PassManager, compile_many
 from repro.flow.passes import (
     ElaboratePass,
     EncodePass,
     FsmInferPass,
     HonourAnnotationsPass,
+    OptimizeLoop,
     SizePass,
+    StateFoldingStage,
     TechMapPass,
 )
 from repro.pe import prepare_auto
@@ -47,13 +43,13 @@ def standard_pipeline(encoding="binary", clock_period_ns=5.0):
     """The default flow, composed explicitly from flow-API stages."""
     passes = [FsmInferPass(), HonourAnnotationsPass()]
     if encoding != "same":
-        passes.append(EncodePass(encoding))
+        passes.append(EncodePass(style=encoding))
     passes += [
         ElaboratePass(),
-        optimize_loop(),
-        state_folding(),
+        OptimizeLoop(),
+        StateFoldingStage(),
         TechMapPass(),
-        SizePass(clock_period_ns),
+        SizePass(clock_period_ns=clock_period_ns),
     ]
     return PassManager(passes)
 

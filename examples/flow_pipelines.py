@@ -20,13 +20,13 @@ Run:  python examples/flow_pipelines.py
 """
 
 from repro.controllers import FsmSpec, fsm_to_table_rtl
-from repro.flow import (
-    Pass,
-    PassManager,
-    register_pass,
-    optimize_loop,
+from repro.flow import Pass, PassManager, register_pass
+from repro.flow.passes import (
+    ElaboratePass,
+    OptimizeLoop,
+    SizePass,
+    TechMapPass,
 )
-from repro.flow.passes import ElaboratePass, SizePass, TechMapPass
 from repro.synth.elaborate import elaborate
 
 
@@ -93,7 +93,7 @@ def main() -> None:
     # -- and the full flow, composed from objects ---------------------
     full = PassManager([
         ElaboratePass(),
-        optimize_loop(effort_rounds=3),
+        OptimizeLoop(effort_rounds=3),
         TechMapPass(),
         SizePass(clock_period_ns=2.0),
     ])

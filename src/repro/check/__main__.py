@@ -5,7 +5,7 @@ Subcommands::
     spec SPEC        typecheck one pipeline spec (optionally against a
                      declared input stage / IR kind / bindings)
     specs            lint every shipped spec: the figure drivers, the
-                     techsweep job grid, and the default flow
+                     Fig. 9 and techsweep jobs, and the default flow
     ir               lint the techsweep IR corpus (FSMs, truth tables)
     dataflow         abstract-interpretation analyses over the IR
                      corpus (reachability, constants, dead logic --
@@ -19,12 +19,6 @@ Exit status: 0 clean, 1 findings (warnings count only under
 ``--strict``), 2 usage errors.  ``--format json`` emits one JSON array
 of findings for tooling; ``--format sarif`` a SARIF 2.1.0 log (what CI
 uploads); the default is one human line per finding, errors first.
-
-``specs``, ``ir``, and ``dataflow`` accept ``--baseline FILE`` to
-filter previously recorded warnings (write one with
-``--write-baseline``); ``ir`` and ``dataflow`` additionally honour
-``# repro-check: disable=CHKxxx`` comments in the corpus-defining
-module.  Errors are never suppressible by either mechanism.
 """
 
 from __future__ import annotations
@@ -39,20 +33,15 @@ from repro.check.irlint import lint_ir
 from repro.check.locks import check_lock_discipline, default_lock_paths
 from repro.check.sarif import to_sarif
 from repro.check.spec import check_job, check_spec
-from repro.check.suppress import (
-    apply_suppressions,
-    file_disables,
-    load_baseline,
-    write_baseline,
-)
 
-#: (label, spec, check_spec kwargs) for every spec the repo ships.
-#: ``specs`` lints these plus the techsweep job grid; the acceptance
-#: bar is zero diagnostics, so a pass rename or schema change that
-#: breaks a figure driver fails CI before anyone runs the figure.
+# ``specs`` lints shipped_specs() and shipped_jobs(); the acceptance
+# bar is zero diagnostics, so a pass rename or schema change that
+# breaks a figure driver fails CI before anyone runs the figure.
 
 
 def shipped_specs() -> "list[tuple[str, str, dict]]":
+    """(label, spec, check_spec kwargs) for every spec a figure driver
+    renders on its own, and the default flows."""
     from repro.expts.fig5_tables import _comb_spec
     from repro.expts.fig6_fsm import LOWERINGS, default_body
     from repro.expts.fig8_stateprop import treatment_specs
@@ -86,15 +75,6 @@ def shipped_specs() -> "list[tuple[str, str, dict]]":
         )
     for name, spec in sorted(treatment_specs(20.0).items()):
         entries.append((f"fig8/{name}", spec, {"input_stage": "rtl"}))
-    fig9 = default_pipeline(CompileOptions()).spec()
-    entries.append(("fig9/auto", fig9, {"input_stage": "rtl"}))
-    entries.append(
-        (
-            "fig9/manual",
-            f"pe_bind,{fig9}",
-            {"input_stage": "rtl", "has_bindings": True},
-        )
-    )
     for label, options in (
         ("default", CompileOptions()),
         ("retimed", CompileOptions(retime=True, fold_sync_reset=True)),
@@ -110,17 +90,33 @@ def shipped_specs() -> "list[tuple[str, str, dict]]":
     return entries
 
 
+def shipped_jobs() -> "list[tuple[str, object]]":
+    """(label, compile job) for every job whose spec its figure builds
+    per job: Fig. 9's five jobs and the techsweep grid, each built by
+    the figure's own code at small scale."""
+    from repro.expts import fig9_pctrl, techsweep
+    from repro.smartmem.pctrl import build_pctrl
+
+    design = build_pctrl(fig9_pctrl.Fig9Scale.named("small").params)
+    labelled = [
+        ("fig9", job)
+        for job in fig9_pctrl.build_jobs(fig9_pctrl.flow_inputs(design))
+    ]
+    labelled += [("techsweep", job) for job in techsweep.build_jobs("small")]
+    return [
+        (f"{figure}/{'/'.join(map(str, job.key))}", job)
+        for figure, job in labelled
+    ]
+
+
 def _findings_specs() -> "list[tuple[str, Diagnostic]]":
     findings = []
     for label, spec, kwargs in shipped_specs():
         for diagnostic in check_spec(spec, **kwargs):
             findings.append((label, diagnostic))
-    from repro.expts.techsweep import build_jobs
-
-    for job in build_jobs("small"):
+    for label, job in shipped_jobs():
         for diagnostic in check_job(job):
-            findings.append((f"techsweep/{'/'.join(map(str, job.key))}",
-                             diagnostic))
+            findings.append((label, diagnostic))
     return findings
 
 
@@ -148,15 +144,7 @@ def _findings_self() -> "list[tuple[str, Diagnostic]]":
     return [("locks", d) for d in check_lock_discipline()]
 
 
-def _corpus_sources() -> "list[str]":
-    """The modules whose inline ``repro-check: disable`` comments the
-    corpus lints honour: where the shipped IRs are defined."""
-    import repro.expts.techsweep as corpus
-
-    return [corpus.__file__]
-
-
-def _report(findings, strict: bool, output_format: str, suppressed: int = 0) -> int:
+def _report(findings, strict: bool, output_format: str) -> int:
     diagnostics = [diagnostic for _, diagnostic in findings]
     status = exit_code(diagnostics, strict=strict)
     if output_format == "sarif":
@@ -179,14 +167,13 @@ def _report(findings, strict: bool, output_format: str, suppressed: int = 0) -> 
     )
     for label, diagnostic in ordered:
         print(f"{label}: {diagnostic}")
-    suffix = f" ({suppressed} suppressed)" if suppressed else ""
     if not findings:
-        print(f"clean: no diagnostics{suffix}")
+        print("clean: no diagnostics")
     else:
         errors = sum(1 for d in diagnostics if d.severity == "error")
         print(
             f"{len(findings)} finding(s): {errors} error(s), "
-            f"{len(findings) - errors} warning(s){suffix}"
+            f"{len(findings) - errors} warning(s)"
         )
     return status
 
@@ -252,19 +239,6 @@ def main(argv=None) -> int:
         help="findings as human lines (default), one JSON array, or "
         "a SARIF 2.1.0 log",
     )
-    baseline_opts = argparse.ArgumentParser(add_help=False)
-    baseline_opts.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON file; recorded (target, code) warnings "
-        "are suppressed (errors never are)",
-    )
-    baseline_opts.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current warnings to FILE and exit 0",
-    )
     commands = parser.add_subparsers(dest="command")
 
     spec_cmd = commands.add_parser(
@@ -293,18 +267,18 @@ def main(argv=None) -> int:
 
     commands.add_parser(
         "specs",
-        parents=[common, baseline_opts],
+        parents=[common],
         help="lint every shipped figure/techsweep spec and the "
         "default flow",
     )
     commands.add_parser(
         "ir",
-        parents=[common, baseline_opts],
+        parents=[common],
         help="lint the techsweep IR corpus",
     )
     commands.add_parser(
         "dataflow",
-        parents=[common, baseline_opts],
+        parents=[common],
         help="dataflow analyses (CHK7xx) over the techsweep IR corpus",
     )
     commands.add_parser(
@@ -343,28 +317,7 @@ def main(argv=None) -> int:
         findings = _findings_dataflow()
     else:
         findings = _findings_self()
-    suppressed = 0
-    if args.command in ("specs", "ir", "dataflow"):
-        if args.write_baseline:
-            write_baseline(args.write_baseline, findings)
-            print(
-                f"baseline: recorded "
-                f"{sum(1 for _, d in findings if d.severity == 'warning')} "
-                f"warning(s) to {args.write_baseline}"
-            )
-            return 0
-        disabled = (
-            file_disables(_corpus_sources())
-            if args.command in ("ir", "dataflow")
-            else set()
-        )
-        baseline = (
-            load_baseline(args.baseline) if args.baseline else set()
-        )
-        findings, suppressed = apply_suppressions(
-            findings, disabled, baseline
-        )
-    return _report(findings, args.strict, args.output_format, suppressed)
+    return _report(findings, args.strict, args.output_format)
 
 
 if __name__ == "__main__":

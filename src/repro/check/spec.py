@@ -41,7 +41,7 @@ from repro.flow.manager import (
     _split_items,
     remember_analysis,
 )
-from repro.flow.schema import IR_KIND_CLASSES, PassSchema, check_option
+from repro.flow.schema import IR_KIND_CLASSES, PassSchema, option_problems
 
 _STAGE_ORDER = {stage: index for index, stage in enumerate(STAGES)}
 
@@ -78,12 +78,14 @@ class _Item:
     instantiate: bool  # try the constructor for cross-option checks
 
 
-def _strip_code(message: str) -> str:
-    """Drop a leading ``[CHKxxx] `` tag from a registry error message
-    (the structured diagnostic carries the code already)."""
+def _split_code(message: str) -> "tuple[str, str]":
+    """A registry error message's leading ``[CHKxxx] `` tag and the
+    rest (an untagged message is a CHK104: a value the constructor
+    rejected)."""
     if message.startswith("[CHK") and "] " in message:
-        return message.split("] ", 1)[1]
-    return message
+        tag, rest = message.split("] ", 1)
+        return tag[1:], rest
+    return "CHK104", message
 
 
 def input_stage_of(*, ctrl=None, module=None, aig=None):
@@ -156,11 +158,12 @@ def check_manager(
 ) -> "list[Diagnostic]":
     """Typecheck an already-built :class:`PassManager`.
 
-    The constructors have run, so options are already valid; this
-    checks stage ordering, IR kinds, and bindings.  The walk stops at
-    the first pass whose name is not in the registry (hand-built or
-    test-local passes carry no schema, and guessing their stage
-    contract would produce false positives).
+    The constructors have run, and every registered pass checks its
+    options against its schema when it is built, so options are
+    already valid; this checks stage ordering, IR kinds, and bindings.
+    The walk stops at the first pass whose name is not in the registry
+    (hand-built or test-local passes carry no schema, and guessing
+    their stage contract would produce false positives).
     """
     items: list[_Item] = []
     for position, entry in enumerate(manager, start=1):
@@ -302,58 +305,43 @@ def _parse_spec(spec: str) -> "tuple[list[_Item], list[Diagnostic]]":
 
 
 def _check_options(item: _Item, schema: PassSchema) -> "list[Diagnostic]":
-    """Option-level checks for one item: unknown names (CHK102), type
-    mismatches (CHK103), range/choice violations and anything else the
-    constructor rejects (CHK104)."""
-    diagnostics: list[Diagnostic] = []
+    """Option-level checks for one item: every problem the schema's
+    resolver finds (:func:`~repro.flow.schema.option_problems`:
+    CHK102 unknown names, CHK103 wrong types, CHK104 out-of-range or
+    off-choice values), else what building the pass raises."""
     params = item.params or {}
     if schema.options:
-        for key in sorted(set(params) - set(schema.options)):
-            hint = suggest_name(key, schema.options)
-            diagnostics.append(
-                Diagnostic(
-                    code="CHK102",
-                    severity="error",
-                    location=item.location,
-                    message=(
-                        f"pass {item.name!r} has no option {key!r}; "
-                        f"accepted: {', '.join(sorted(schema.options))}"
-                    ),
-                    suggestion=None if hint is None
-                    else f"did you mean {hint!r}?",
-                )
+        diagnostics = [
+            Diagnostic(
+                code=problem.code,
+                severity="error",
+                location=item.location,
+                message=problem.message,
+                suggestion=problem.suggestion,
             )
-        for key in sorted(set(params) & set(schema.options)):
-            problem = check_option(schema.options[key], key, params[key])
-            if problem is None:
-                continue
-            kind, message = problem
-            diagnostics.append(
-                Diagnostic(
-                    code="CHK103" if kind == "type" else "CHK104",
-                    severity="error",
-                    location=item.location,
-                    message=f"pass {item.name!r}: {message}",
-                )
-            )
-    if diagnostics or not item.instantiate:
-        return diagnostics
-    # Per-option checks passed (or the schema declares no options):
-    # the constructor is the authority on cross-option constraints
-    # ("a case-statement FSM cannot be flexible") and on options of
-    # schema-less passes.
+            for problem in option_problems(item.name, schema.options, params)
+        ]
+        if diagnostics:
+            return diagnostics
+    if not item.instantiate:
+        return []
+    # The schema has no complaint (or declares no options, leaving
+    # them to the constructor): building the pass is the authority on
+    # cross-option constraints ("a case-statement FSM cannot be
+    # flexible") and on options of passes registered without them.
     try:
         make_pass(item.name, **params)
     except FlowError as exc:
-        diagnostics.append(
+        code, message = _split_code(str(exc))
+        return [
             Diagnostic(
-                code="CHK104",
+                code=code,
                 severity="error",
                 location=item.location,
-                message=_strip_code(str(exc)),
+                message=message,
             )
-        )
-    return diagnostics
+        ]
+    return []
 
 
 def _simulate(
@@ -384,9 +372,7 @@ def _simulate(
                 )
             )
             continue  # an unknown pass cannot move the stage
-        schema = PASS_SCHEMAS.get(item.name) or PassSchema(
-            stage=PASS_REGISTRY[item.name].stage
-        )
+        schema = PASS_SCHEMAS[item.name]
         diagnostics.extend(_check_options(item, schema))
         stage = schema.stage
         if current is None:

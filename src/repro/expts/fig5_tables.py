@@ -31,8 +31,13 @@ from repro.expts.common import (
     format_table,
 )
 from repro.expts.scatter import render_scatter
-from repro.flow import CompileJob, PassManager, compile_many, optimize_loop
-from repro.flow.passes import ElaboratePass, SizePass, TechMapPass
+from repro.flow import CompileJob, PassManager, compile_many
+from repro.flow.passes import (
+    ElaboratePass,
+    OptimizeLoop,
+    SizePass,
+    TechMapPass,
+)
 from repro.synth.compiler import DesignCompiler
 from repro.tables.truthtable import TruthTable
 
@@ -65,9 +70,9 @@ def _comb_spec(clock_period_ns: float) -> str:
     return PassManager(
         [
             ElaboratePass(),
-            optimize_loop(),
+            OptimizeLoop(),
             TechMapPass(),
-            SizePass(clock_period_ns),
+            SizePass(clock_period_ns=clock_period_ns),
         ]
     ).spec()
 

@@ -29,19 +29,15 @@ from repro.expts.common import (
     format_table,
 )
 from repro.expts.scatter import render_scatter
-from repro.flow import (
-    CompileJob,
-    PassManager,
-    compile_many,
-    optimize_loop,
-    state_folding,
-)
+from repro.flow import CompileJob, PassManager, compile_many
 from repro.flow.passes import (
     ElaboratePass,
     EncodePass,
     FsmInferPass,
     HonourAnnotationsPass,
+    OptimizeLoop,
     SizePass,
+    StateFoldingStage,
     TechMapPass,
 )
 from repro.synth.compiler import DesignCompiler
@@ -68,12 +64,12 @@ def default_body(clock_period_ns: float = 20.0) -> str:
         [
             FsmInferPass(),
             HonourAnnotationsPass(),
-            EncodePass("binary"),
+            EncodePass(style="binary"),
             ElaboratePass(),
-            optimize_loop(),
-            state_folding(),
+            OptimizeLoop(),
+            StateFoldingStage(),
             TechMapPass(),
-            SizePass(clock_period_ns),
+            SizePass(clock_period_ns=clock_period_ns),
         ]
     ).spec()
 

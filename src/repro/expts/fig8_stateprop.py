@@ -27,18 +27,14 @@ from repro.expts.common import (
 )
 from repro.expts.fig7_design import FLOP_STYLES, build_fig7, onehot_values
 from repro.expts.scatter import render_scatter
-from repro.flow import (
-    CompileJob,
-    PassManager,
-    compile_many,
-    optimize_loop,
-    retime_stage,
-    state_folding,
-)
+from repro.flow import CompileJob, PassManager, compile_many
 from repro.flow.passes import (
     ElaboratePass,
     HonourAnnotationsPass,
+    OptimizeLoop,
+    RetimeStage,
     SizePass,
+    StateFoldingStage,
     TechMapPass,
 )
 from repro.synth.compiler import DesignCompiler
@@ -56,17 +52,17 @@ def treatment_specs(clock_period_ns: float = 20.0) -> "dict[str, str]":
     experiment, so :func:`run_fig8` must build its jobs from here."""
 
     def back_end():
-        return [TechMapPass(), SizePass(clock_period_ns)]
+        return [TechMapPass(), SizePass(clock_period_ns=clock_period_ns)]
 
     return {
         "regular": PassManager(
-            [ElaboratePass(), optimize_loop(), *back_end()]
+            [ElaboratePass(), OptimizeLoop(), *back_end()]
         ).spec(),
         "retimed": PassManager(
             [
                 ElaboratePass(fold_sync_reset=True),
-                optimize_loop(),
-                retime_stage(),
+                OptimizeLoop(),
+                RetimeStage(),
                 *back_end(),
             ]
         ).spec(),
@@ -74,8 +70,8 @@ def treatment_specs(clock_period_ns: float = 20.0) -> "dict[str, str]":
             [
                 HonourAnnotationsPass(),
                 ElaboratePass(),
-                optimize_loop(),
-                state_folding(),
+                OptimizeLoop(),
+                StateFoldingStage(),
                 *back_end(),
             ]
         ).spec(),

@@ -26,7 +26,7 @@ from repro.smartmem.config import (
     PCtrlParams,
 )
 from repro.smartmem.flows import auto_job, full_job, manual_job
-from repro.smartmem.pctrl import build_pctrl
+from repro.smartmem.pctrl import PCtrlDesign, build_pctrl
 from repro.synth.compiler import (
     CompileResult,
     DesignCompiler,
@@ -57,6 +57,44 @@ class Fig9Scale:
         raise ValueError(f"unknown scale {name!r}")
 
 
+def flow_inputs(design: PCtrlDesign) -> "dict[tuple[str, str], tuple]":
+    """The (module, bindings, annotations, options) tuple of each of
+    the five distinct syntheses, from their single definition in
+    :mod:`repro.smartmem.flows`.  Full is configuration-independent;
+    Auto and Manual exist per configuration."""
+    inputs: dict[tuple[str, str], tuple] = {}
+    inputs[("full", "any")] = full_job(design)
+    for config, config_name in (
+        (CACHED_CONFIG, "cached"),
+        (UNCACHED_CONFIG, "uncached"),
+    ):
+        inputs[("auto", config_name)] = auto_job(design, config)
+        inputs[("manual", config_name)] = manual_job(design, config)
+    return inputs
+
+
+def build_jobs(inputs: dict, library=None) -> "list[CompileJob]":
+    """One compile job per :func:`flow_inputs` entry: Full runs the
+    facade's default flow for its options, and Auto/Manual prepend the
+    ``pe_bind`` stage.  ``repro.check specs`` lints these jobs without
+    running the figure, so :func:`run_fig9` must submit exactly
+    these."""
+    jobs = []
+    for key, (module, bindings, annotations, options) in inputs.items():
+        body = default_pipeline(options).spec()
+        jobs.append(
+            CompileJob(
+                key,
+                body if bindings is None else f"pe_bind,{body}",
+                module=module,
+                bindings=bindings,
+                annotations=annotations,
+                library=library,
+            )
+        )
+    return jobs
+
+
 def run_fig9(
     scale: str = "medium",
     compiler: DesignCompiler | None = None,
@@ -73,33 +111,8 @@ def run_fig9(
     """
     params = Fig9Scale.named(scale).params
     compiler = compiler or DesignCompiler()
-    design = build_pctrl(params)
-
-    # The (module, bindings, annotations, options) tuples each flow
-    # synthesizes, from their single definition in
-    # repro.smartmem.flows.  Full runs the facade's default flow;
-    # Auto/Manual prepend the pe_bind stage.
-    inputs: dict[tuple[str, str], tuple] = {}
-    inputs[("full", "any")] = full_job(design)
-    for config, config_name in (
-        (CACHED_CONFIG, "cached"),
-        (UNCACHED_CONFIG, "uncached"),
-    ):
-        inputs[("auto", config_name)] = auto_job(design, config)
-        inputs[("manual", config_name)] = manual_job(design, config)
-    jobs = []
-    for key, (module, bindings, annotations, options) in inputs.items():
-        body = default_pipeline(options).spec()
-        jobs.append(
-            CompileJob(
-                key,
-                body if bindings is None else f"pe_bind,{body}",
-                module=module,
-                bindings=bindings,
-                annotations=annotations,
-                library=compiler.library,
-            )
-        )
+    inputs = flow_inputs(build_pctrl(params))
+    jobs = build_jobs(inputs, compiler.library)
     compiled = compile_many(jobs, workers=workers, cache=cache, server=server)
 
     runs: dict[tuple[str, str], CompileResult] = {}

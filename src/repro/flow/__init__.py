@@ -11,8 +11,9 @@ netlist, in the style of MLIR's and Calyx's pass managers.
 Quick tour::
 
     from repro.flow import PassManager, FlowContext
-    from repro.flow.passes import ElaboratePass, TechMapPass, SizePass
-    from repro.flow.pipeline import optimize_loop
+    from repro.flow.passes import (
+        ElaboratePass, OptimizeLoop, SizePass, TechMapPass,
+    )
 
     # String specs over the registry: repeats ([k]) and conditionals (?).
     comb = PassManager.parse("seq_sweep,tt_sweep,balance,rewrite[2]")
@@ -21,7 +22,7 @@ Quick tour::
     # Or compose pass objects, mixing in fixed-point stages.
     full = PassManager([
         ElaboratePass(),
-        optimize_loop(effort_rounds=2),
+        OptimizeLoop(effort_rounds=3),
         TechMapPass(),
         SizePass(clock_period_ns=5.0),
     ])
@@ -30,15 +31,23 @@ Quick tour::
     for record in ctx.records:          # structured instrumentation
         print(record.name, record.wall_time_s, record.delta_ands)
 
-New transforms plug in by registering a pass::
+New transforms plug in by registering a pass, declaring its options
+once, in its schema::
 
-    @register_pass("my_pass")
+    from repro.flow.schema import Option, PassSchema
+
+    @register_pass("my_pass", PassSchema(
+        stage="aig",
+        options={"rounds": Option("int", default=1, min=1)},
+    ))
     class MyPass(Pass):
         stage = "aig"
         def run(self, ctx):
-            ctx.aig = my_transform(ctx.aig)
+            ctx.aig = my_transform(ctx.aig, self.options["rounds"])
 
-after which ``PassManager.parse("...,my_pass,...")`` just works.  The
+after which ``PassManager.parse("...,my_pass{rounds=3},...")`` just
+works: the schema checks the value, fills in the default, and renders
+``my_pass{rounds=3}`` back (``MyPass(rounds=3)`` in Python).  The
 ``DesignCompiler`` facade in :mod:`repro.synth.compiler` is a thin
 wrapper that builds :func:`~repro.flow.pipeline.default_pipeline` from
 ``CompileOptions`` -- same numbers, same logs, but every stage now
@@ -96,13 +105,7 @@ from repro.flow.parallel import (
     compile_many,
     default_workers,
 )
-from repro.flow.pipeline import (
-    default_pipeline,
-    optimize_loop,
-    retime_stage,
-    run_default_flow,
-    state_folding,
-)
+from repro.flow.pipeline import default_pipeline, run_default_flow
 
 # Importing the pass modules populates the registry: the synthesis
 # passes first, then the frontend (controller-IR) lowerings.
@@ -137,14 +140,11 @@ __all__ = [
     "frontend",
     "is_controller_ir",
     "make_pass",
-    "optimize_loop",
     "passes",
     "register_pass",
     "registered_pass_names",
     "render_log",
-    "retime_stage",
     "snapshot_key",
     "run_default_flow",
-    "state_folding",
     "until_converged",
 ]

@@ -16,7 +16,6 @@ Passes register themselves under a short name with
 
 from __future__ import annotations
 
-import difflib
 import math
 import operator
 import sys
@@ -24,7 +23,15 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.flow.schema import PassSchema
+# FlowError and suggest_name live with the option resolver that uses
+# them; they are re-exported here, where the rest of the flow looks.
+from repro.flow.schema import (
+    FlowError,
+    PassSchema,
+    check_option,
+    resolve_options,
+    suggest_name,
+)
 
 if TYPE_CHECKING:
     from repro.aig.graph import AIG
@@ -45,10 +52,6 @@ RECURSION_HEADROOM = 100_000
 #: representation (FSM spec, microprogram, truth table, ...) that has
 #: not been lowered to RTL yet.
 STAGES = ("ctrl", "rtl", "aig", "netlist")
-
-
-class FlowError(Exception):
-    """A malformed pipeline: unknown pass, bad spec, stage misuse."""
 
 
 def is_controller_ir(value) -> bool:
@@ -316,13 +319,24 @@ class Pass:
     passes need an elaborated graph, ``"netlist"`` passes need a
     mapped netlist) -- and implement :meth:`run`.  Detail lines for
     the legacy log are reported through :meth:`note`.
+
+    A registered pass takes the options its :class:`PassSchema`
+    declares, by keyword, and reads them from :attr:`options`; the
+    schema alone decides which names, types, bounds and defaults are
+    valid (:func:`~repro.flow.schema.resolve_options`).
     """
 
     name: str = "pass"
     stage: str = "aig"
+    #: The pass's static contract; :func:`register_pass` sets it.
+    schema: "PassSchema | None" = None
 
-    def __init__(self) -> None:
+    def __init__(self, **options) -> None:
         self._notes: list[str] = []
+        declared = {} if self.schema is None else self.schema.options
+        #: Every option the schema declares, at its default unless
+        #: given: checked, so ``run`` can trust it.
+        self.options = resolve_options(self.name, declared, options)
 
     # -- the transform ------------------------------------------------
     def run(self, ctx: FlowContext) -> None:
@@ -414,11 +428,15 @@ class Pass:
         return record
 
     def params(self) -> dict:
-        """Non-default constructor parameters, for spec rendering and
-        fingerprinting.  Parameterized passes override this; only
-        spec-representable values (numbers, strings, bools, None)
-        belong here."""
-        return {}
+        """The options that differ from their schema default, for spec
+        rendering and fingerprinting.  A pass overriding this must
+        return only spec-representable values (numbers, strings,
+        bools, None)."""
+        return {
+            key: value
+            for key, value in self.options.items()
+            if value != self.schema.options[key].default
+        }
 
     def spec(self) -> str:
         """The pipeline-spec syntax that reconstructs this pass,
@@ -454,20 +472,22 @@ class Pass:
 #: Global registry: spec name -> zero-argument pass factory.
 PASS_REGISTRY: dict[str, Callable[[], Pass]] = {}
 
-#: Spec name -> :class:`PassSchema`, populated alongside the registry.
-#: The static contract :mod:`repro.check.spec` checks pipelines
-#: against; passes registered without an explicit schema get a
-#: stage-only default (any option is then a constructor question).
+#: Spec name -> :class:`PassSchema` (the registered class's
+#: ``schema``), populated alongside the registry.  Passes registered
+#: without an explicit schema get a stage-only default, and any
+#: keyword argument is then their constructor's question.
 PASS_SCHEMAS: dict[str, PassSchema] = {}
 
 
 def register_pass(name: str, schema: "PassSchema | None" = None):
-    """Class decorator adding a pass to the global registry.
+    """Class decorator adding a pass to the global registry and giving
+    it its schema.
 
-    The registered class must be constructible with no arguments (its
-    defaults are what a string pipeline spec gets); richer
-    parameterizations are built in Python.  Re-registering a name is a
-    hard error -- silent shadowing would make specs ambiguous.
+    The registered class must be constructible with no arguments: its
+    schema's defaults are what a string pipeline spec gets.
+    Re-registering a name is a hard error -- silent shadowing would
+    make specs ambiguous -- and so is a schema whose default fails its
+    own option.
 
     Args:
         name: the spec name the pass registers under.
@@ -488,7 +508,12 @@ def register_pass(name: str, schema: "PassSchema | None" = None):
                 f"pass {name!r}: schema stage {resolved.stage!r} "
                 f"contradicts class stage {cls.stage!r}"
             )
+        for key, option in resolved.options.items():
+            problem = check_option(option, key, option.default)
+            if problem is not None:
+                raise FlowError(f"pass {name!r}: default {problem[1]}")
         cls.name = name
+        cls.schema = resolved
         PASS_REGISTRY[name] = cls
         PASS_SCHEMAS[name] = resolved
         return cls
@@ -519,44 +544,29 @@ def same_registry(old: tuple, new: tuple) -> bool:
     return old[0] == new[0] and all(map(operator.is_, old[1], new[1]))
 
 
-def pass_schema(name: str) -> "PassSchema | None":
-    """The registered schema for ``name`` (``None`` when unknown)."""
-    if name not in PASS_REGISTRY:
-        return None
-    return PASS_SCHEMAS.get(name)
-
-
-def suggest_name(name: str, candidates) -> "str | None":
-    """The closest near-miss to ``name`` among ``candidates``, for
-    did-you-mean diagnostics (``None`` when nothing is close)."""
-    matches = difflib.get_close_matches(name, list(candidates), n=1)
-    return matches[0] if matches else None
-
-
 def describe_registry() -> "dict[str, dict]":
     """Every registered pass with its stage and option schema, as
     JSON-safe dicts -- the single source ``repro.check registry`` and
     the docs render from, so neither drifts from the code."""
     out: dict[str, dict] = {}
     for name in registered_pass_names():
-        schema = PASS_SCHEMAS.get(name) or PassSchema(
-            stage=PASS_REGISTRY[name].stage
-        )
         doc = (PASS_REGISTRY[name].__doc__ or "").strip()
         summary = doc.splitlines()[0] if doc else ""
-        out[name] = {"summary": summary, **schema.describe()}
+        out[name] = {"summary": summary, **PASS_SCHEMAS[name].describe()}
     return out
 
 
 def make_pass(name: str, /, **params) -> Pass:
-    """Instantiate a registered pass, with optional constructor
-    parameters (from a spec's ``{key=value,...}`` options).  The
-    registry name is positional-only so a pass may itself take a
-    ``name`` option (``table_rom{name=tbl_x}``).
+    """Instantiate a registered pass, with optional options (from a
+    spec's ``{key=value,...}`` block).  The registry name is
+    positional-only so a pass may itself take a ``name`` option
+    (``table_rom{name=tbl_x}``).
 
     Errors carry ``repro.check`` diagnostic codes: ``CHK101`` unknown
-    pass, ``CHK102`` unknown option name, ``CHK104`` a value the
-    constructor rejected.
+    pass; ``CHK102``, ``CHK103`` or ``CHK104`` from the pass's schema
+    (:func:`~repro.flow.schema.resolve_options`); ``CHK104`` for
+    anything else the constructor rejects (``fsm_encode``'s
+    case-versus-flexible check, say).
     """
     try:
         factory = PASS_REGISTRY[name]
@@ -567,18 +577,6 @@ def make_pass(name: str, /, **params) -> Pass:
             f"[CHK101] unknown pass {name!r}; {did_you_mean}"
             f"registered passes: {', '.join(registered_pass_names())}"
         ) from None
-    schema = PASS_SCHEMAS.get(name)
-    if schema is not None and schema.options:
-        unknown = sorted(set(params) - set(schema.options))
-        if unknown:
-            hint = suggest_name(unknown[0], schema.options)
-            did_you_mean = "" if hint is None else f" (did you mean {hint!r}?)"
-            raise FlowError(
-                f"[CHK102] pass {name!r} rejected options {unknown}: "
-                f"unknown option{'s' if len(unknown) > 1 else ''}"
-                f"{did_you_mean}; accepted: "
-                f"{', '.join(sorted(schema.options))}"
-            )
     try:
         return factory(**params)
     except (TypeError, ValueError) as exc:

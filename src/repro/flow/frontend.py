@@ -101,57 +101,32 @@ class FsmEncodePass(Pass):
 
     stage = "ctrl"
 
-    def __init__(
-        self,
-        style: str = "same",
-        realize: str = "table",
-        flexible: bool = False,
-    ) -> None:
-        super().__init__()
-        if style not in ENCODING_STYLES:
-            raise ValueError(f"unknown fsm encoding {style!r}")
-        if realize not in FSM_REALIZATIONS:
-            raise ValueError(
-                f"unknown realisation {realize!r}; known: "
-                f"{', '.join(FSM_REALIZATIONS)}"
-            )
-        if flexible and realize == "case":
+    def __init__(self, **options) -> None:
+        super().__init__(**options)
+        if self.options["flexible"] and self.options["realize"] == "case":
             raise ValueError("a case-statement FSM cannot be flexible")
-        self.style = style
-        self.realize = realize
-        self.flexible = flexible
-
-    def params(self) -> dict:
-        params = {}
-        if self.style != "same":
-            params["style"] = self.style
-        if self.realize != "table":
-            params["realize"] = self.realize
-        if self.flexible:
-            params["flexible"] = True
-        return params
 
     def run(self, ctx: FlowContext) -> None:
         spec = _require_ir(self, ctx, FsmSpec)
-        if self.realize == "case":
+        style, realize = self.options["style"], self.options["realize"]
+        if realize == "case":
             module = fsm_to_case_rtl(spec)
         else:
-            module = fsm_to_table_rtl(spec, flexible=self.flexible)
+            module = fsm_to_table_rtl(spec, flexible=self.options["flexible"])
         self.note(
-            f"fsm_encode: {spec.name} -> {self.realize} rtl "
+            f"fsm_encode: {spec.name} -> {realize} rtl "
             f"({spec.num_states} states)"
         )
-        if self.style != "same":
+        if style != "same":
             values = tuple(range(spec.num_states))
             module, annotation = reencode_register(
-                module, "state", values, self.style
+                module, "state", values, style
             )
             ctx.annotations = [
                 a for a in ctx.annotations if a.reg_name != "state"
             ] + [annotation]
             self.note(
-                f"fsm_encode: state -> {self.style} "
-                f"({spec.num_states} states)"
+                f"fsm_encode: state -> {style} ({spec.num_states} states)"
             )
         ctx.module = module
 
@@ -175,16 +150,9 @@ class TableRomPass(Pass):
 
     stage = "ctrl"
 
-    def __init__(self, name: str = "table") -> None:
-        super().__init__()
-        self.module_name = name
-
-    def params(self) -> dict:
-        return {} if self.module_name == "table" else {"name": self.module_name}
-
     def run(self, ctx: FlowContext) -> None:
         table = _require_ir(self, ctx, TruthTable)
-        ctx.module = table_to_rom_rtl(table, self.module_name)
+        ctx.module = table_to_rom_rtl(table, self.options["name"])
         self.note(
             f"table_rom: {table.depth}x{table.num_outputs} table -> rom"
         )
@@ -215,30 +183,13 @@ class TableMinimizePass(Pass):
 
     stage = "ctrl"
 
-    def __init__(self, engine: str = "isop", name: str = "sop") -> None:
-        super().__init__()
-        if engine not in SOP_ENGINES:
-            raise ValueError(
-                f"unknown SOP engine {engine!r}; known: "
-                f"{', '.join(SOP_ENGINES)}"
-            )
-        self.engine = engine
-        self.module_name = name
-
-    def params(self) -> dict:
-        params = {}
-        if self.engine != "isop":
-            params["engine"] = self.engine
-        if self.module_name != "sop":
-            params["name"] = self.module_name
-        return params
-
     def run(self, ctx: FlowContext) -> None:
         table = _require_ir(self, ctx, TruthTable)
-        ctx.module = table_to_sop_rtl(table, self.module_name, self.engine)
+        engine = self.options["engine"]
+        ctx.module = table_to_sop_rtl(table, self.options["name"], engine)
         self.note(
             f"table_minimize: {table.depth}x{table.num_outputs} table -> "
-            f"sop ({self.engine})"
+            f"sop ({engine})"
         )
 
 
@@ -266,30 +217,9 @@ class MicrocodePackPass(Pass):
 
     stage = "ctrl"
 
-    def __init__(
-        self, addr_bits: int | None = None, cond_bits: int = 2
-    ) -> None:
-        super().__init__()
-        if addr_bits is not None and addr_bits < 1:
-            raise ValueError(f"addr_bits must be >= 1, got {addr_bits}")
-        if cond_bits < 1:
-            raise ValueError(f"cond_bits must be >= 1, got {cond_bits}")
-        self.addr_bits = addr_bits
-        self.cond_bits = cond_bits
-
-    def params(self) -> dict:
-        params = {}
-        if self.addr_bits is not None:
-            params["addr_bits"] = self.addr_bits
-        if self.cond_bits != 2:
-            params["cond_bits"] = self.cond_bits
-        return params
-
     def run(self, ctx: FlowContext) -> None:
         program = _require_ir(self, ctx, Program)
-        ctx.ctrl = program.assemble(
-            addr_bits=self.addr_bits, cond_bits=self.cond_bits
-        )
+        ctx.ctrl = program.assemble(**self.options)
         self.note(
             f"microcode_pack: {ctx.ctrl.length} instructions -> "
             f"{ctx.ctrl.word_width}-bit words @ {ctx.ctrl.addr_bits} "
@@ -334,42 +264,14 @@ class DispatchRomPass(Pass):
 
     stage = "ctrl"
 
-    def __init__(
-        self,
-        name: str = "useq",
-        flexible: bool = False,
-        annotate: bool = True,
-        num_conditions: int | None = None,
-    ) -> None:
-        super().__init__()
-        self.module_name = name
-        self.flexible = flexible
-        self.annotate = annotate
-        if num_conditions is not None and num_conditions < 1:
-            raise ValueError(
-                f"num_conditions must be >= 1, got {num_conditions}"
-            )
-        self.num_conditions = num_conditions
-
-    def params(self) -> dict:
-        params = {}
-        if self.module_name != "useq":
-            params["name"] = self.module_name
-        if self.flexible:
-            params["flexible"] = True
-        if not self.annotate:
-            params["annotate"] = False
-        if self.num_conditions is not None:
-            params["num_conditions"] = self.num_conditions
-        return params
-
     def run(self, ctx: FlowContext) -> None:
         program = _require_ir(self, ctx, AssembledProgram)
-        num_conditions = self.num_conditions or max(
+        flexible = self.options["flexible"]
+        num_conditions = self.options["num_conditions"] or max(
             1, len(program.condition_names)
         )
         spec = SequencerSpec(
-            name=self.module_name,
+            name=self.options["name"],
             format=program.format,
             addr_bits=program.addr_bits,
             cond_bits=program.cond_bits,
@@ -377,19 +279,19 @@ class DispatchRomPass(Pass):
             opcode_bits=(
                 0 if program.dispatch is None else program.dispatch.opcode_bits
             ),
-            flexible=self.flexible,
+            flexible=flexible,
         )
         generated = generate_sequencer(
-            spec, program=None if self.flexible else program
+            spec, program=None if flexible else program
         )
         ctx.module = generated.module
         self.note(
             f"dispatch_rom: {program.length} instructions -> "
-            f"{'flexible' if self.flexible else 'bound'} sequencer "
+            f"{'flexible' if flexible else 'bound'} sequencer "
             f"{spec.name!r}"
         )
         annotation = generated.upc_annotation
-        if self.annotate and annotation is not None:
+        if self.options["annotate"] and annotation is not None:
             if not any(
                 a.reg_name == annotation.reg_name for a in ctx.annotations
             ):
@@ -431,19 +333,6 @@ class PeBindPass(Pass):
 
     stage = "rtl"
 
-    def __init__(self, annotate: bool = False, regs: str | None = None) -> None:
-        super().__init__()
-        self.annotate = annotate
-        self.regs = regs
-
-    def params(self) -> dict:
-        params = {}
-        if self.annotate:
-            params["annotate"] = True
-        if self.regs is not None:
-            params["regs"] = self.regs
-        return params
-
     def run(self, ctx: FlowContext) -> None:
         # Imported here: repro.pe re-exports the specialize drivers,
         # which import repro.flow -- a module-level import would cycle
@@ -458,10 +347,10 @@ class PeBindPass(Pass):
             )
         ctx.module = bind_tables(ctx.module, ctx.bindings)
         self.note(f"pe_bind: bound {len(ctx.bindings)} table(s)")
-        if self.annotate:
-            regs = None if self.regs is None else [
-                name for name in self.regs.split(",") if name
-            ]
+        if self.options["annotate"]:
+            regs = self.options["regs"]
+            if regs is not None:
+                regs = [name for name in regs.split(",") if name]
             for annotation in derive_annotations(ctx.module, regs):
                 if not any(
                     a.reg_name == annotation.reg_name for a in ctx.annotations

@@ -23,6 +23,10 @@ spec name               stage    engine
 ``size``                netlist  sizing + STA + area report
 ======================  =======  =============================================
 
+Each pass's options are declared once, in the schema it registers
+with; ``run`` reads them from ``self.options`` (and often hands them
+on whole, as the engine's keyword arguments).
+
 The message strings passes :meth:`~repro.flow.core.Pass.note` are the
 exact legacy ``CompileResult.log`` lines; do not reword them casually.
 """
@@ -119,20 +123,12 @@ class EncodePass(Pass):
 
     stage = "rtl"
 
-    def __init__(self, style: str = "binary") -> None:
-        super().__init__()
-        if style not in ENCODING_STYLES:
-            raise ValueError(f"unknown fsm encoding {style!r}")
-        self.style = style
-
-    def params(self) -> dict:
-        return {"style": self.style} if self.style != "binary" else {}
-
     def applies(self, ctx: FlowContext) -> bool:
-        return self.style != "same" and bool(ctx.annotations)
+        return self.options["style"] != "same" and bool(ctx.annotations)
 
     def run(self, ctx: FlowContext) -> None:
-        if self.style == "same":
+        style = self.options["style"]
+        if style == "same":
             return
         reencoded: list[StateAnnotation] = []
         for annotation in ctx.annotations:
@@ -140,12 +136,12 @@ class EncodePass(Pass):
                 ctx.module,
                 annotation.reg_name,
                 annotation.values,
-                self.style,
+                style,
             )
             reencoded.append(new_annotation)
             self.note(
                 f"encode: {annotation.reg_name} -> "
-                f"{self.style} ({len(annotation.values)} states)"
+                f"{style} ({len(annotation.values)} states)"
             )
         ctx.annotations = reencoded
 
@@ -170,17 +166,8 @@ class ElaboratePass(Pass):
 
     stage = "rtl"
 
-    def __init__(self, fold_sync_reset: bool = False) -> None:
-        super().__init__()
-        self.fold_sync_reset = fold_sync_reset
-
-    def params(self) -> dict:
-        return {"fold_sync_reset": True} if self.fold_sync_reset else {}
-
     def run(self, ctx: FlowContext) -> None:
-        ctx.elaboration = elaborate(
-            ctx.module, fold_sync_reset=self.fold_sync_reset
-        )
+        ctx.elaboration = elaborate(ctx.module, **self.options)
         ctx.aig = ctx.elaboration.aig
         self.note(f"elaborate: {ctx.aig.stats()}")
 
@@ -214,21 +201,8 @@ class SeqSweepPass(Pass):
 class TtSweepPass(Pass):
     """Functional sweep: merge nodes with identical truth tables."""
 
-    def __init__(self, support_limit: int | None = None) -> None:
-        super().__init__()
-        if support_limit is not None and support_limit < 1:
-            raise ValueError(
-                f"support_limit must be None or >= 1, got {support_limit}"
-            )
-        self.support_limit = support_limit
-
-    def params(self) -> dict:
-        if self.support_limit is None:
-            return {}
-        return {"support_limit": self.support_limit}
-
     def run(self, ctx: FlowContext) -> None:
-        ctx.aig = tt_sweep(ctx.aig, support_limit=self.support_limit)
+        ctx.aig = tt_sweep(ctx.aig, **self.options)
 
 
 @register_pass("balance", PassSchema(stage="aig"))
@@ -253,37 +227,14 @@ def _cut_options() -> dict:
     }
 
 
-def _check_cut_options(k: int, max_cuts: int) -> None:
-    if k < MIN_CUT_SIZE or k > MAX_CUT_SIZE:
-        raise ValueError(
-            f"k must be in {MIN_CUT_SIZE}..{MAX_CUT_SIZE}, got {k}"
-        )
-    if max_cuts < 1:
-        raise ValueError(f"max_cuts must be >= 1, got {max_cuts}")
-
-
 @register_pass("rewrite", PassSchema(stage="aig", options=_cut_options()))
 class RewritePass(Pass):
     """Cut-based rewriting: each node's cut functions are re-expressed
     through ISOP covers, adopted when they add fewer nodes than the
     node's MFFC holds."""
 
-    def __init__(self, k: int = 4, max_cuts: int = 6) -> None:
-        super().__init__()
-        _check_cut_options(k, max_cuts)
-        self.k = k
-        self.max_cuts = max_cuts
-
-    def params(self) -> dict:
-        params = {}
-        if self.k != 4:
-            params["k"] = self.k
-        if self.max_cuts != 6:
-            params["max_cuts"] = self.max_cuts
-        return params
-
     def run(self, ctx: FlowContext) -> None:
-        ctx.aig = rewrite(ctx.aig, k=self.k, max_cuts=self.max_cuts)
+        ctx.aig = rewrite(ctx.aig, **self.options)
 
 
 @register_pass(
@@ -313,43 +264,9 @@ class ResubPass(Pass):
     (:func:`repro.aig.resub.resub`); flags progress when the AND count
     actually dropped, so convergence loops can gate on it."""
 
-    def __init__(
-        self,
-        k: int = 3,
-        max_divisors: int = 16,
-        support_limit: int = 8,
-    ) -> None:
-        super().__init__()
-        if k < 1 or k > MAX_RESUB_K:
-            raise ValueError(f"k must be in 1..{MAX_RESUB_K}, got {k}")
-        if max_divisors < 1:
-            raise ValueError(f"max_divisors must be >= 1, got {max_divisors}")
-        if support_limit < 1:
-            raise ValueError(
-                f"support_limit must be >= 1, got {support_limit}"
-            )
-        self.k = k
-        self.max_divisors = max_divisors
-        self.support_limit = support_limit
-
-    def params(self) -> dict:
-        params = {}
-        if self.k != 3:
-            params["k"] = self.k
-        if self.max_divisors != 16:
-            params["max_divisors"] = self.max_divisors
-        if self.support_limit != 8:
-            params["support_limit"] = self.support_limit
-        return params
-
     def run(self, ctx: FlowContext) -> None:
         before = ctx.aig.num_ands
-        ctx.aig = resub(
-            ctx.aig,
-            k=self.k,
-            max_divisors=self.max_divisors,
-            support_limit=self.support_limit,
-        )
+        ctx.aig = resub(ctx.aig, **self.options)
         saved = before - ctx.aig.num_ands
         if saved:
             self.note(f"resub: -{saved} ands via divisor substitution")
@@ -379,47 +296,9 @@ class DcRewritePass(Pass):
     ON-set before ISOP resynthesis, accepting covers the exact
     ``rewrite`` pass must reject."""
 
-    def __init__(
-        self,
-        k: int = 4,
-        max_cuts: int = 6,
-        tfo_depth: int = 2,
-        support_limit: int = 10,
-    ) -> None:
-        super().__init__()
-        _check_cut_options(k, max_cuts)
-        if tfo_depth < 1:
-            raise ValueError(f"tfo_depth must be >= 1, got {tfo_depth}")
-        if support_limit < 1:
-            raise ValueError(
-                f"support_limit must be >= 1, got {support_limit}"
-            )
-        self.k = k
-        self.max_cuts = max_cuts
-        self.tfo_depth = tfo_depth
-        self.support_limit = support_limit
-
-    def params(self) -> dict:
-        params = {}
-        if self.k != 4:
-            params["k"] = self.k
-        if self.max_cuts != 6:
-            params["max_cuts"] = self.max_cuts
-        if self.tfo_depth != 2:
-            params["tfo_depth"] = self.tfo_depth
-        if self.support_limit != 10:
-            params["support_limit"] = self.support_limit
-        return params
-
     def run(self, ctx: FlowContext) -> None:
         before = ctx.aig.num_ands
-        ctx.aig = dc_rewrite(
-            ctx.aig,
-            k=self.k,
-            max_cuts=self.max_cuts,
-            tfo_depth=self.tfo_depth,
-            support_limit=self.support_limit,
-        )
+        ctx.aig = dc_rewrite(ctx.aig, **self.options)
         saved = before - ctx.aig.num_ands
         if saved:
             self.note(f"dc_rewrite: -{saved} ands via don't-cares")
@@ -462,15 +341,6 @@ class FoldStatesPass(Pass):
     re-optimization in the default flow.
     """
 
-    def __init__(self, rounds: int = 2) -> None:
-        super().__init__()
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
-        self.rounds = rounds
-
-    def params(self) -> dict:
-        return {"rounds": self.rounds} if self.rounds != 2 else {}
-
     def applies(self, ctx: FlowContext) -> bool:
         return bool(ctx.annotations)
 
@@ -504,7 +374,10 @@ class FoldStatesPass(Pass):
         if not buses:
             return
         ctx.aig, ctx.fold_stats = fold_states(
-            ctx.aig, buses, rounds=self.rounds, rng=random.Random(ctx.seed)
+            ctx.aig,
+            buses,
+            rounds=self.options["rounds"],
+            rng=random.Random(ctx.seed),
         )
         stats = ctx.fold_stats
         self.note(
@@ -513,6 +386,19 @@ class FoldStatesPass(Pass):
             f"({stats.sat_calls} SAT calls, {stats.sat_skipped} skipped)"
         )
         ctx.mark_progress()
+
+
+class _Stage(Pass):
+    """A registered pass whose work is a combinator (``body``) built
+    from its options; its records and log lines are the body's."""
+
+    body: Pass
+
+    def applies(self, ctx: FlowContext) -> bool:
+        return self.body.applies(ctx)
+
+    def run(self, ctx: FlowContext) -> None:
+        self.body.run(ctx)
 
 
 @register_pass(
@@ -531,36 +417,21 @@ class FoldStatesPass(Pass):
         },
     ),
 )
-class OptimizeLoop(FixedPoint):
+class OptimizeLoop(_Stage):
     """The classic sweep/balance/rewrite rounds, as a fixed point."""
 
-    def __init__(
-        self, effort_rounds: int = 2, support_limit: int | None = None
-    ) -> None:
-        self.effort_rounds = effort_rounds
-        self.support_limit = support_limit
-        super().__init__(
+    def __init__(self, **options) -> None:
+        super().__init__(**options)
+        self.body = FixedPoint(
             [
                 SeqSweepPass(),
-                TtSweepPass(support_limit),
+                TtSweepPass(support_limit=self.options["support_limit"]),
                 BalancePass(),
                 RewritePass(),
             ],
-            max_rounds=effort_rounds,
+            max_rounds=self.options["effort_rounds"],
             label="optimize",
         )
-
-    def params(self) -> dict:
-        params = {}
-        if self.effort_rounds != 2:
-            params["effort_rounds"] = self.effort_rounds
-        if self.support_limit is not None:
-            params["support_limit"] = self.support_limit
-        return params
-
-    def spec(self) -> str:
-        # The registered name plus the effort knobs; the body is fixed.
-        return Pass.spec(self)
 
 
 @register_pass(
@@ -582,7 +453,7 @@ class OptimizeLoop(FixedPoint):
         },
     ),
 )
-class RetimeStage(WhileProgress):
+class RetimeStage(_Stage):
     """The classic retiming stage: backward retiming with
     re-optimization after each move, while flops keep moving.
 
@@ -590,34 +461,18 @@ class RetimeStage(WhileProgress):
     "retime before vs after folding" ablations need no code changes.
     """
 
-    def __init__(
-        self,
-        effort_rounds: int = 2,
-        support_limit: int | None = None,
-        max_rounds: int = 4,
-    ) -> None:
-        self.effort_rounds = effort_rounds
-        self.support_limit = support_limit
-        super().__init__(
+    def __init__(self, **options) -> None:
+        super().__init__(**options)
+        self.body = WhileProgress(
             RetimePass(),
-            then=[OptimizeLoop(effort_rounds, support_limit)],
-            max_rounds=max_rounds,
-            label="retime_stage",
+            then=[
+                OptimizeLoop(
+                    effort_rounds=self.options["effort_rounds"],
+                    support_limit=self.options["support_limit"],
+                )
+            ],
+            max_rounds=self.options["max_rounds"],
         )
-
-    def params(self) -> dict:
-        params = {}
-        if self.effort_rounds != 2:
-            params["effort_rounds"] = self.effort_rounds
-        if self.support_limit is not None:
-            params["support_limit"] = self.support_limit
-        if self.max_rounds != 4:
-            params["max_rounds"] = self.max_rounds
-        return params
-
-    def spec(self) -> str:
-        # The registered name plus the knobs; the body is fixed.
-        return Pass.spec(self)
 
 
 @register_pass(
@@ -636,33 +491,22 @@ class RetimeStage(WhileProgress):
         },
     ),
 )
-class StateFoldingStage(WhileProgress):
+class StateFoldingStage(_Stage):
     """Annotation-driven state folding, re-optimizing if it fired --
     the classic flow's folding stage as a registered, spec-placeable
     pass."""
 
-    def __init__(
-        self, effort_rounds: int = 2, support_limit: int | None = None
-    ) -> None:
-        self.effort_rounds = effort_rounds
-        self.support_limit = support_limit
-        super().__init__(
-            FoldStatesPass(effort_rounds),
-            then=[OptimizeLoop(effort_rounds, support_limit)],
-            max_rounds=1,
-            label="state_folding",
+    def __init__(self, **options) -> None:
+        super().__init__(**options)
+        self.body = WhileProgress(
+            FoldStatesPass(rounds=self.options["effort_rounds"]),
+            then=[
+                OptimizeLoop(
+                    effort_rounds=self.options["effort_rounds"],
+                    support_limit=self.options["support_limit"],
+                )
+            ],
         )
-
-    def params(self) -> dict:
-        params = {}
-        if self.effort_rounds != 2:
-            params["effort_rounds"] = self.effort_rounds
-        if self.support_limit is not None:
-            params["support_limit"] = self.support_limit
-        return params
-
-    def spec(self) -> str:
-        return Pass.spec(self)
 
 
 #: Libraries reconstructible from a spec string (``map{library=...}``).
@@ -741,16 +585,15 @@ class TechMapPass(Pass):
     differing only in library fingerprint differently.
     """
 
-    def __init__(self, library: Library | str | None = None) -> None:
-        super().__init__()
+    def __init__(self, **options) -> None:
+        # A Library object is pinned as given; a name (or anything
+        # else) is an option value the schema checks.
+        library = options.pop("library", None)
+        if not isinstance(library, Library):
+            options["library"] = library
+        super().__init__(**options)
         if isinstance(library, str):
-            try:
-                library = LIBRARY_FACTORIES[library]()
-            except KeyError:
-                raise ValueError(
-                    f"unknown library {library!r}; known: "
-                    f"{', '.join(sorted(LIBRARY_FACTORIES))}"
-                ) from None
+            library = LIBRARY_FACTORIES[library]()
         self.library = library
 
     def params(self) -> dict:
@@ -795,19 +638,10 @@ class SizePass(Pass):
 
     stage = "netlist"
 
-    def __init__(self, clock_period_ns: float = 5.0) -> None:
-        super().__init__()
-        if clock_period_ns <= 0:
-            raise ValueError("clock period must be positive")
-        self.clock_period_ns = clock_period_ns
-
-    def params(self) -> dict:
-        if self.clock_period_ns == 5.0:
-            return {}
-        return {"clock_period_ns": self.clock_period_ns}
-
     def run(self, ctx: FlowContext) -> None:
-        ctx.sizing = size_for_clock(ctx.netlist, self.clock_period_ns)
+        ctx.sizing = size_for_clock(
+            ctx.netlist, self.options["clock_period_ns"]
+        )
         ctx.timing = analyze_timing(ctx.netlist)
         ctx.area = ctx.netlist.area_report()
         self.note(

@@ -1,17 +1,16 @@
-"""Standard pipeline builders.
+"""The facade's default pipeline.
 
 :func:`default_pipeline` assembles, from a
 :class:`~repro.synth.dc_options.CompileOptions`, exactly the flow the
 old monolithic ``DesignCompiler.compile`` ran -- same passes, same
 order, same convergence rules -- which is what keeps the facade
-byte-compatible with the seed implementation.  The smaller builders
-(:func:`optimize_loop`, :func:`retime_stage`, :func:`state_folding`)
-are the stages experiments compose directly.
+byte-compatible with the seed implementation.  Experiments compose
+the same stages directly: ``OptimizeLoop()``, ``RetimeStage()`` and
+``StateFoldingStage()`` from :mod:`repro.flow.passes`.
 """
 
 from __future__ import annotations
 
-from repro.flow.core import Pass
 from repro.flow.manager import PassManager
 from repro.flow.passes import (
     ElaboratePass,
@@ -25,29 +24,6 @@ from repro.flow.passes import (
     TechMapPass,
 )
 from repro.synth.dc_options import CompileOptions
-
-
-def optimize_loop(
-    effort_rounds: int = 2, support_limit: int | None = None
-) -> Pass:
-    """Sweep/balance/rewrite rounds until AND count converges."""
-    return OptimizeLoop(effort_rounds, support_limit)
-
-
-def retime_stage(
-    effort_rounds: int = 2,
-    support_limit: int | None = None,
-    max_rounds: int = 4,
-) -> Pass:
-    """Backward retiming with re-optimization after each move."""
-    return RetimeStage(effort_rounds, support_limit, max_rounds)
-
-
-def state_folding(
-    effort_rounds: int = 2, support_limit: int | None = None
-) -> Pass:
-    """Annotation-driven state folding, re-optimizing if it fired."""
-    return StateFoldingStage(effort_rounds, support_limit)
 
 
 def run_default_flow(module, options: CompileOptions, library=None, cache=None):
@@ -82,19 +58,21 @@ def default_pipeline(options: CompileOptions) -> PassManager:
         pipeline.append(FsmInferPass())
     pipeline.append(HonourAnnotationsPass())
     if options.fsm_encoding != "same":
-        pipeline.append(EncodePass(options.fsm_encoding))
+        pipeline.append(EncodePass(style=options.fsm_encoding))
     pipeline.append(
         ElaboratePass(
             fold_sync_reset=options.fold_sync_reset or options.retime
         )
     )
-    effort = options.effort_rounds
-    limit = options.sweep_support_limit
-    pipeline.append(optimize_loop(effort, limit))
+    effort = dict(
+        effort_rounds=options.effort_rounds,
+        support_limit=options.sweep_support_limit,
+    )
+    pipeline.append(OptimizeLoop(**effort))
     if options.retime:
-        pipeline.append(retime_stage(effort, limit))
+        pipeline.append(RetimeStage(**effort))
     if options.use_state_folding:
-        pipeline.append(state_folding(effort, limit))
+        pipeline.append(StateFoldingStage(**effort))
     pipeline.append(TechMapPass())
-    pipeline.append(SizePass(options.clock_period_ns))
+    pipeline.append(SizePass(clock_period_ns=options.clock_period_ns))
     return pipeline

@@ -1,24 +1,32 @@
-"""Per-pass option schemas: the registry's static self-description.
+"""Per-pass option schemas: the one declaration of a pass's contract.
 
 Every pass registered with :func:`repro.flow.core.register_pass`
 carries a :class:`PassSchema` describing what the pass consumes and
-produces (stages, controller-IR kinds) and which options its
-constructor accepts (:class:`Option`: type, default, range, choices).
-The schema is what makes a pipeline spec *checkable without
-executing*: :mod:`repro.check.spec` walks a spec against these
-schemas to catch unknown passes, bad options, stage-ordering errors,
-and IR-kind mismatches before any elaboration happens -- the paper's
+produces (stages, controller-IR kinds) and which options it takes
+(:class:`Option`: type, default, range, choices).  The schema is the
+only place an option is declared: :func:`resolve_options` checks the
+values a pass is built with and fills in the defaults,
+:meth:`repro.flow.core.Pass.params` renders the values that differ
+from them, and :mod:`repro.check.spec` walks a spec against the same
+schemas -- through the same :func:`option_problems` -- to catch
+unknown passes, bad options, stage-ordering errors, and IR-kind
+mismatches before any elaboration happens: the paper's
 analyzable-intent claim applied to the flow itself.
 
-Schemas only encode constraints the constructors actually enforce;
-they never tighten beyond the runtime behaviour, so a spec the
-checker accepts is a spec the constructors accept.
+Constructors enforce their schema, so a spec the checker accepts is a
+spec the constructors accept, and the other way round.
 """
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass, field
 from typing import Callable
+
+
+class FlowError(Exception):
+    """A malformed pipeline: unknown pass, bad spec, stage misuse."""
+
 
 #: The controller-IR ``kind`` tags (from ``ir_stats()``) mapped to the
 #: class a pass's runtime ``_require_ir`` check would name.  Used by
@@ -33,21 +41,22 @@ IR_KIND_CLASSES = {
 }
 
 #: Option value types a schema may declare.  ``float`` accepts ints
-#: (the constructors do); ``bool`` is checked before ``int`` because
+#: (kept as ints: ``size{clock_period_ns=20}`` renders back as
+#: written); ``bool`` is checked before ``int`` because
 #: Python bools *are* ints but ``encode{style=true}`` is still wrong.
 OPTION_TYPES = ("int", "float", "str", "bool")
 
 
 @dataclass(frozen=True)
 class Option:
-    """One constructor option of a registered pass.
+    """One option of a registered pass.
 
     Args:
         type: one of :data:`OPTION_TYPES`.
-        default: the constructor's default value (``None`` for
-            required-less passes; informational only).
+        default: the value a pass built without this option runs
+            with; a value equal to it is left out of the pass's spec.
         nullable: whether ``none`` is an accepted value.
-        min: inclusive lower bound, when the constructor enforces one.
+        min: inclusive lower bound.
         max: inclusive upper bound.
         exclusive_min: exclusive lower bound (``size`` wants a
             strictly positive clock period).
@@ -109,7 +118,7 @@ _TYPE_CLASSES = {
 
 
 def check_option(option: Option, name: str, value) -> "tuple[str, str] | None":
-    """Statically validate one option value against its schema.
+    """Validate one option value against its schema.
 
     Returns:
         ``None`` when the value is acceptable, else ``(kind, message)``
@@ -149,6 +158,81 @@ def check_option(option: Option, name: str, value) -> "tuple[str, str] | None":
             f"{', '.join(repr(c) for c in choices)}; got {value!r}",
         )
     return None
+
+
+def suggest_name(name: str, candidates) -> "str | None":
+    """The closest near-miss to ``name`` among ``candidates``, for
+    did-you-mean diagnostics (``None`` when nothing is close)."""
+    matches = difflib.get_close_matches(name, list(candidates), n=1)
+    return matches[0] if matches else None
+
+
+@dataclass(frozen=True)
+class OptionProblem:
+    """One thing wrong with the options a pass is given: ``code`` is
+    CHK102 (unknown name), CHK103 (wrong type) or CHK104 (out of
+    range, or not one of the choices)."""
+
+    code: str
+    message: str
+    suggestion: "str | None" = None
+
+    def __str__(self) -> str:
+        hint = "" if self.suggestion is None else f" ({self.suggestion})"
+        return f"[{self.code}] {self.message}{hint}"
+
+
+def option_problems(
+    pass_name: str, declared: "dict[str, Option]", params: dict
+) -> "list[OptionProblem]":
+    """Every problem with ``params`` as the options of ``pass_name``,
+    whose schema declares ``declared``: unknown names first, then
+    values, each in name order.  The spec check reports all of them;
+    :func:`resolve_options` raises them."""
+    problems: list[OptionProblem] = []
+    accepted = (
+        f"accepted: {', '.join(sorted(declared))}" if declared
+        else "it takes none"
+    )
+    for key in sorted(set(params) - set(declared)):
+        hint = suggest_name(key, declared)
+        problems.append(
+            OptionProblem(
+                "CHK102",
+                f"pass {pass_name!r} has no option {key!r}; {accepted}",
+                None if hint is None else f"did you mean {hint!r}?",
+            )
+        )
+    for key in sorted(set(params) & set(declared)):
+        problem = check_option(declared[key], key, params[key])
+        if problem is not None:
+            kind, message = problem
+            problems.append(
+                OptionProblem(
+                    "CHK103" if kind == "type" else "CHK104",
+                    f"pass {pass_name!r}: {message}",
+                )
+            )
+    return problems
+
+
+def resolve_options(
+    pass_name: str, declared: "dict[str, Option]", params: dict
+) -> dict:
+    """The options a pass built with ``params`` runs with: every
+    declared option, at its default unless given.
+
+    Raises:
+        FlowError: tagged with the code of the first of
+            :func:`option_problems`, listing all of them.
+    """
+    problems = option_problems(pass_name, declared, params)
+    if problems:
+        raise FlowError("; ".join(map(str, problems)))
+    return {
+        key: params.get(key, option.default)
+        for key, option in declared.items()
+    }
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,9 @@ class CompileServer:
         self.httpd.daemon_threads = True
         self.httpd.app = self  # the handler reaches the service here
         self._thread: threading.Thread | None = None
+        #: "idle" until a serve loop is about to begin ("serving"),
+        #: "closed" once close() has run.
+        self._state = "idle"  # guarded-by: _lock
 
     # -- lifecycle ----------------------------------------------------
     @property
@@ -133,7 +136,12 @@ class CompileServer:
         return f"http://{host}:{port}"
 
     def serve_forever(self) -> None:
-        """Block serving requests (the CLI entry point)."""
+        """Block serving requests (the CLI entry point); returns at
+        once on a closed server."""
+        with self._lock:
+            if self._state == "closed":
+                return
+            self._state = "serving"
         self.httpd.serve_forever()
 
     def start(self) -> "CompileServer":
@@ -146,8 +154,18 @@ class CompileServer:
         return self
 
     def close(self) -> None:
-        """Stop accepting requests and release the pool."""
-        self.httpd.shutdown()
+        """Stop accepting requests and release the pool.
+
+        Returns promptly on a server that never served, too: it waits
+        for a serve loop only when one has begun or is about to (a
+        loop that begins after a shutdown request exits at once), and
+        a ``serve_forever`` called after it returns at once.
+        """
+        with self._lock:
+            serving = self._state == "serving"
+            self._state = "closed"
+        if serving:
+            self.httpd.shutdown()
         self.httpd.server_close()
         self.pool.shutdown(wait=True)
         if self._thread is not None:

@@ -16,6 +16,38 @@ def test_shipped_specs_are_clean(capsys):
     assert "clean" in capsys.readouterr().out
 
 
+def test_specs_lints_the_jobs_fig9_submits(monkeypatch):
+    """``specs`` lints the pipelines ``run_fig9`` actually submits (no
+    ``encode``: Fig. 9 keeps its encodings), job for job."""
+    from repro.check.__main__ import shipped_jobs
+    from repro.expts import fig9_pctrl
+
+    submitted = []
+
+    class Submitted(Exception):
+        pass
+
+    def capture(jobs, **kwargs):
+        submitted.extend(jobs)
+        raise Submitted
+
+    monkeypatch.setattr(fig9_pctrl, "compile_many", capture)
+    try:
+        fig9_pctrl.run_fig9(scale="small")
+    except Submitted:
+        pass
+    linted = [job for label, job in shipped_jobs() if label.startswith("fig9/")]
+
+    def pipelines(jobs):
+        return sorted(
+            (job.key, job.pipeline, job.bindings is None) for job in jobs
+        )
+
+    assert len(submitted) == 5
+    assert pipelines(linted) == pipelines(submitted)
+    assert not any("encode" in job.pipeline for job in submitted)
+
+
 def test_shipped_irs_are_clean(capsys):
     assert main(["ir"]) == 0
 

@@ -1,5 +1,5 @@
 """The dataflow engine: solver and lattices, the three analyses, and
-the reporting surface (SARIF emission, suppressions, the CLI)."""
+the reporting surface (SARIF emission, the CLI)."""
 
 import json
 from dataclasses import replace
@@ -24,12 +24,6 @@ from repro.check.dataflow import (
 from repro.check.diagnostics import Diagnostic
 from repro.check.irlint import lint_aig
 from repro.check.sarif import SARIF_VERSION, to_sarif
-from repro.check.suppress import (
-    apply_suppressions,
-    inline_disables,
-    load_baseline,
-    write_baseline,
-)
 from repro.controllers.dispatch import DispatchTable
 from repro.controllers.fsm import FsmSpec
 from repro.controllers.microcode import SeqOp
@@ -262,53 +256,6 @@ def test_sarif_structure():
 
 
 # ---------------------------------------------------------------------
-# Suppressions
-# ---------------------------------------------------------------------
-def test_inline_disables_parse_and_ignore_unknown():
-    source = (
-        "# repro-check: disable=CHK704, CHK703\n"
-        "x = 1  # repro-check: disable=NOPE\n"
-    )
-    assert inline_disables(source) == {"CHK703", "CHK704"}
-    assert inline_disables("x = 1\n") == set()
-
-
-def test_errors_are_never_suppressed(tmp_path):
-    findings = [
-        ("ir/a", _finding("CHK701", "warning")),
-        ("ir/a", _finding("CHK401", "error")),
-    ]
-    kept, suppressed = apply_suppressions(
-        findings, disabled={"CHK701", "CHK401"}
-    )
-    assert suppressed == 1
-    assert [d.code for _, d in kept] == ["CHK401"]
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, findings)
-    baseline = load_baseline(baseline_path)
-    # Only the warning was recorded: an error never enters a baseline.
-    assert baseline == {("ir/a", "CHK701")}
-    kept, suppressed = apply_suppressions(findings, baseline=baseline)
-    assert suppressed == 1
-    assert [d.code for _, d in kept] == ["CHK401"]
-
-
-def test_baseline_round_trip_filters_exact_pairs(tmp_path):
-    findings = [
-        ("ir/a", _finding("CHK701", "warning")),
-        ("ir/b", _finding("CHK701", "warning")),
-    ]
-    path = tmp_path / "baseline.json"
-    write_baseline(path, findings[:1])
-    kept, suppressed = apply_suppressions(
-        findings, baseline=load_baseline(path)
-    )
-    assert suppressed == 1
-    assert [target for target, _ in kept] == ["ir/b"]
-
-
-# ---------------------------------------------------------------------
 # The CLI
 # ---------------------------------------------------------------------
 def test_cli_dataflow_clean(capsys):
@@ -326,12 +273,3 @@ def test_cli_dataflow_sarif(capsys):
     assert log["version"] == SARIF_VERSION
     assert log["runs"][0]["tool"]["driver"]["name"] == "repro.check"
 
-
-def test_cli_baseline_round_trip(tmp_path, capsys):
-    from repro.check.__main__ import main
-
-    path = tmp_path / "baseline.json"
-    assert main(["dataflow", "--write-baseline", str(path)]) == 0
-    assert path.exists()
-    capsys.readouterr()
-    assert main(["dataflow", "--baseline", str(path), "--strict"]) == 0

@@ -14,13 +14,16 @@ import pytest
 from repro.controllers.fsm_random import random_fsm
 from repro.expts.fig5_tables import Fig5Scale, run_fig5
 from repro.expts.fig6_fsm import Fig6Scale, run_fig6
-from repro.flow import CompileCache, PassManager, optimize_loop, state_folding
+from repro.flow import CompileCache, PassManager
 from repro.flow.passes import (
     ElaboratePass,
     EncodePass,
     FsmInferPass,
     HonourAnnotationsPass,
+    OptimizeLoop,
+    RetimeStage,
     SizePass,
+    StateFoldingStage,
     TechMapPass,
 )
 from repro.synth.compiler import DesignCompiler
@@ -48,7 +51,12 @@ def test_fig5_payload_matches_the_pre_refactor_route(fig5_result, library):
     """Every point of the IR-driven fig5 equals a by-hand compile of
     the pre-refactor modules through the pre-refactor pipeline."""
     reference = PassManager(
-        [ElaboratePass(), optimize_loop(), TechMapPass(), SizePass(20.0)]
+        [
+            ElaboratePass(),
+            OptimizeLoop(),
+            TechMapPass(),
+            SizePass(clock_period_ns=20.0),
+        ]
     )
     assert fig5_result.meta["pipeline"] == reference.spec()
     config = Fig5Scale.named("small")
@@ -75,12 +83,12 @@ def test_fig6_payload_matches_the_pre_refactor_route(fig6_result, library):
         [
             FsmInferPass(),
             HonourAnnotationsPass(),
-            EncodePass("binary"),
+            EncodePass(style="binary"),
             ElaboratePass(),
-            optimize_loop(),
-            state_folding(),
+            OptimizeLoop(),
+            StateFoldingStage(),
             TechMapPass(),
-            SizePass(20.0),
+            SizePass(clock_period_ns=20.0),
         ]
     )
     assert fig6_result.meta["pipeline"] == reference.spec()
@@ -117,29 +125,33 @@ def test_fig8_pipelines_round_trip_as_specs():
     """fig8's three treatment pipelines are spec strings that parse
     back to exactly the pre-refactor pass objects."""
     from repro.expts.fig8_stateprop import run_fig8  # noqa: F401
-    from repro.flow import retime_stage
 
     objects = {
         "regular": PassManager(
-            [ElaboratePass(), optimize_loop(), TechMapPass(), SizePass(20.0)]
+            [
+                ElaboratePass(),
+                OptimizeLoop(),
+                TechMapPass(),
+                SizePass(clock_period_ns=20.0),
+            ]
         ),
         "retimed": PassManager(
             [
                 ElaboratePass(fold_sync_reset=True),
-                optimize_loop(),
-                retime_stage(),
+                OptimizeLoop(),
+                RetimeStage(),
                 TechMapPass(),
-                SizePass(20.0),
+                SizePass(clock_period_ns=20.0),
             ]
         ),
         "annotated": PassManager(
             [
                 HonourAnnotationsPass(),
                 ElaboratePass(),
-                optimize_loop(),
-                state_folding(),
+                OptimizeLoop(),
+                StateFoldingStage(),
                 TechMapPass(),
-                SizePass(20.0),
+                SizePass(clock_period_ns=20.0),
             ]
         ),
     }

@@ -319,9 +319,11 @@ def test_pinned_unregistered_library_has_no_spec_form():
     inv = tweaked.cells["INV"]
     tweaked.cells["INV"] = dc_replace(inv, area=inv.area * 2)
     with pytest.raises(FlowError, match="no spec form"):
-        PassManager([TechMapPass(tweaked)]).spec()
+        PassManager([TechMapPass(library=tweaked)]).spec()
     # The stock library still renders by name.
-    assert TechMapPass(Library.tsmc90ish()).spec() == "map{library=tsmc90ish}"
+    assert TechMapPass(library=Library.tsmc90ish()).spec() == (
+        "map{library=tsmc90ish}"
+    )
 
 
 def test_custom_metric_fixed_point_has_no_spec_form():

@@ -184,7 +184,7 @@ def test_sop_engines_parse_and_synthesize():
         ).compile(ctrl=table)
         areas[engine] = ctx.area.total
         assert ctx.area.total > 0
-    with pytest.raises(FlowError, match="rejected options"):
+    with pytest.raises(FlowError, match=r"\[CHK104\].*'bogus'"):
         PassManager.parse("table_minimize{engine=bogus}")
     # An all-zero output column never reaches the cover engine; the
     # name is still checked.

@@ -65,45 +65,49 @@ def test_parse_round_trips_canonical_specs():
 
 def test_spec_renders_non_default_parameters():
     """Parameterized passes fingerprint faithfully via spec()."""
-    from repro.flow.passes import EncodePass, SizePass, TtSweepPass
-    from repro.flow import optimize_loop
+    from repro.flow.passes import (
+        EncodePass,
+        OptimizeLoop,
+        SizePass,
+        TtSweepPass,
+    )
 
-    assert EncodePass("gray").spec() == "encode{style=gray}"
-    assert EncodePass("binary").spec() == "encode"  # default elided
-    assert SizePass(2.0).spec() == "size{clock_period_ns=2.0}"
-    assert TtSweepPass(8).spec() == "tt_sweep{support_limit=8}"
-    assert optimize_loop(3, 8).spec() == (
+    assert EncodePass(style="gray").spec() == "encode{style=gray}"
+    assert EncodePass(style="binary").spec() == "encode"  # default elided
+    assert SizePass(clock_period_ns=2.0).spec() == "size{clock_period_ns=2.0}"
+    assert TtSweepPass(support_limit=8).spec() == "tt_sweep{support_limit=8}"
+    assert OptimizeLoop(effort_rounds=3, support_limit=8).spec() == (
         "optimize{effort_rounds=3,support_limit=8}"
     )
     # Differently-parameterized pipelines must not collide.
-    a = PassManager([EncodePass("gray")]).spec()
-    b = PassManager([EncodePass("onehot")]).spec()
+    a = PassManager([EncodePass(style="gray")]).spec()
+    b = PassManager([EncodePass(style="onehot")]).spec()
     assert a != b
 
 
 def test_parse_applies_spec_parameters():
     ctx_spec = PassManager.parse("encode{style=onehot}")
     [encode] = ctx_spec.passes
-    assert encode.style == "onehot"
+    assert encode.options["style"] == "onehot"
     [size] = PassManager.parse("size{clock_period_ns=2.5}").passes
-    assert size.clock_period_ns == 2.5
+    assert size.options["clock_period_ns"] == 2.5
     [opt] = PassManager.parse("optimize{effort_rounds=4}").passes
-    assert opt.max_rounds == 4
+    assert opt.body.max_rounds == 4
 
 
 def test_parse_rejects_unknown_or_malformed_options():
-    with pytest.raises(FlowError, match="rejected options"):
+    with pytest.raises(FlowError, match=r"\[CHK102\].*no option 'frob'"):
         PassManager.parse("balance{frob=1}")
     with pytest.raises(FlowError, match="malformed option"):
         PassManager.parse("encode{style}")
     # Invalid *values* surface as FlowError too, per the parse contract.
-    with pytest.raises(FlowError, match="rejected options"):
+    with pytest.raises(FlowError, match=r"\[CHK104\].*one of"):
         PassManager.parse("encode{style=bogus}")
-    with pytest.raises(FlowError, match="rejected options"):
+    with pytest.raises(FlowError, match=r"\[CHK104\].*must be > 0"):
         PassManager.parse("size{clock_period_ns=0}")
-    with pytest.raises(FlowError, match="rejected options"):
+    with pytest.raises(FlowError, match=r"\[CHK104\].*must be >= 1"):
         PassManager.parse("stateprop{rounds=0}")
-    with pytest.raises(FlowError, match="rejected options"):
+    with pytest.raises(FlowError, match=r"\[CHK104\].*must be >= 1"):
         PassManager.parse("optimize{effort_rounds=0}")
 
 
@@ -374,11 +378,11 @@ def test_map_pass_library_is_fingerprinted_and_parseable():
     from repro.tech.cells import Library
 
     assert TechMapPass().spec() == "map"
-    pinned = TechMapPass(Library.tsmc90ish())
+    pinned = TechMapPass(library=Library.tsmc90ish())
     assert pinned.spec() == "map{library=tsmc90ish}"
     [reparsed] = PassManager.parse(pinned.spec()).passes
     assert reparsed.library.name == "tsmc90ish"
-    with pytest.raises(FlowError, match="rejected options"):
+    with pytest.raises(FlowError, match=r"\[CHK104\].*'bogus'"):
         PassManager.parse("map{library=bogus}")
 
 

@@ -17,7 +17,7 @@ from repro.flow import (
     PassManager,
     registered_pass_names,
 )
-from repro.flow.core import parse_spec_value, render_spec_value
+from repro.flow.core import PASS_SCHEMAS, parse_spec_value, render_spec_value
 from repro.flow.manager import _split_items
 
 
@@ -100,6 +100,7 @@ _PARAMETERIZED = [
     ("stateprop", {"rounds": 3}),
     ("optimize", {"effort_rounds": 3, "support_limit": 6}),
     ("retime_stage", {"effort_rounds": 1, "max_rounds": 2}),
+    ("retime_stage", {"support_limit": 5}),
     ("state_folding", {"effort_rounds": 3, "support_limit": 4}),
     ("resub", {"k": 2, "max_divisors": 8, "support_limit": 6}),
     ("dc_rewrite", {"k": 3, "max_cuts": 4, "tfo_depth": 3,
@@ -108,7 +109,31 @@ _PARAMETERIZED = [
     ("map", {"library": "generic45ish"}),
     ("map", {"library": "lowpowerish"}),
     ("size", {"clock_period_ns": 2.5}),
+    ("size", {"clock_period_ns": 20}),  # an int renders back as an int
+    ("fsm_encode", {"style": "onehot", "realize": "case"}),
+    ("fsm_encode", {"style": "gray", "flexible": True}),
+    ("table_rom", {"name": "tbl_x"}),
+    ("table_minimize", {"engine": "qm", "name": "sop_y"}),
+    ("microcode_pack", {"addr_bits": 6, "cond_bits": 3}),
+    ("dispatch_rom", {"name": "seq", "flexible": True, "annotate": False,
+                      "num_conditions": 3}),
+    ("pe_bind", {"annotate": True, "regs": "state,upc"}),
 ]
+
+
+def test_every_option_round_trips_off_its_default():
+    covered = {
+        (name, key)
+        for name, params in _PARAMETERIZED
+        for key, value in params.items()
+        if value != PASS_SCHEMAS[name].options[key].default
+    }
+    declared = {
+        (name, key)
+        for name in registered_pass_names()
+        for key in PASS_SCHEMAS[name].options
+    }
+    assert declared - covered == set()
 
 
 def test_parameterized_passes_round_trip():
@@ -153,7 +178,7 @@ def test_quoted_values_survive_item_and_option_splitting():
 
     try:
         for tag in ("a,b", "k=v{}", "nan", "it's", "w\\e[1]?"):
-            spec = PassManager([QuotedProbe(tag), QuotedProbe()]).spec()
+            spec = PassManager([QuotedProbe(tag=tag), QuotedProbe()]).spec()
             manager = PassManager.parse(spec)
             assert manager.spec() == spec, tag
             assert manager.passes[0].tag == tag

@@ -252,3 +252,27 @@ def test_cache_uploads_are_refused(server, client):
     [result] = client.compile_detailed([job_b])
     assert result.fingerprint == fp_b and not result.cache_hit
     assert result.ctx.area.total == local["b"].area.total
+
+
+def _returns_promptly(action, timeout=5.0) -> bool:
+    """Run ``action`` on a daemon thread; did it finish in time?  (A
+    hang then fails the test instead of hanging the suite.)"""
+    worker = threading.Thread(target=action, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    return not worker.is_alive()
+
+
+def test_close_returns_on_a_server_that_never_served():
+    assert _returns_promptly(CompileServer().close)
+
+
+def test_serve_forever_after_close_returns_at_once():
+    server = CompileServer()
+    assert _returns_promptly(server.close)
+    assert _returns_promptly(server.serve_forever)
+
+
+def test_close_right_after_start_returns():
+    for _ in range(20):
+        assert _returns_promptly(CompileServer().start().close)
