@@ -35,7 +35,7 @@ from repro.flow.passes import (
     StateFoldingStage,
     TechMapPass,
 )
-from repro.pe import prepare_auto
+from repro.flow.frontend import PeBindPass
 from repro.synth.dc_options import StateAnnotation
 
 
@@ -83,19 +83,17 @@ def _sequencer_areas(fmt: MicrocodeFormat, pipeline: PassManager):
         flexible=True,
     )
     flexible = generate_sequencer(flex_spec).module
-    bound, run_options = prepare_auto(
-        flexible,
-        {
-            "ucode": image.instruction_words(),
-            "dispatch": image.dispatch_rows(),
-        },
-    )
     compiled = compile_many(
         [
             CompileJob("full", pipeline, module=flexible),
             CompileJob(
-                "auto", pipeline, module=bound,
-                annotations=tuple(run_options.state_annotations),
+                "auto",
+                PassManager([PeBindPass(annotate=True), *pipeline]),
+                module=flexible,
+                bindings={
+                    "ucode": image.instruction_words(),
+                    "dispatch": image.dispatch_rows(),
+                },
             ),
         ]
     )

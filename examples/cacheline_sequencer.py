@@ -17,9 +17,9 @@ from repro.controllers import (
     SequencerSpec,
     generate_sequencer,
 )
-from repro.pe import specialize
+from repro.flow import PassManager, default_pipeline
 from repro.sim import Simulator
-from repro.synth import DesignCompiler
+from repro.synth import CompileOptions, DesignCompiler
 
 
 def write_program(fmt: MicrocodeFormat):
@@ -108,15 +108,17 @@ def main() -> None:
         beats += 1 if out["ctl_cmd"] else 0
     print(f"observed {beats} command beats for the line read")
 
-    compiler = DesignCompiler()
-    full = compiler.compile(flexible)
-    auto = specialize(
+    full = DesignCompiler().compile(flexible)
+    # Auto: bind the program into the flexible engine in-flow and derive
+    # the reachability annotations from the bound tables.
+    auto = PassManager.parse(
+        f"pe_bind{{annotate=true}},{default_pipeline(CompileOptions()).spec()}"
+    ).compile(
         flexible,
-        {
+        bindings={
             "ucode": image.instruction_words(),
             "dispatch": image.dispatch_rows(),
         },
-        compiler=compiler,
     )
     print(f"flexible sequencer: {full.area.total:8.1f} um^2 "
           f"({full.area.sequential:.1f} sequential)")

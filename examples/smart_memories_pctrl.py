@@ -11,19 +11,11 @@ Uses a reduced-size PCtrl so the whole demo runs in about a minute;
 Run:  python examples/smart_memories_pctrl.py
 """
 
+from repro.expts.fig9_pctrl import build_jobs
+from repro.flow import compile_many
 from repro.sim import Simulator
-from repro.smartmem import (
-    build_pctrl,
-    compile_auto,
-    compile_full,
-    compile_manual,
-)
-from repro.smartmem.config import (
-    CACHED_CONFIG,
-    UNCACHED_CONFIG,
-    PCtrlParams,
-    RequestOp,
-)
+from repro.smartmem import build_pctrl
+from repro.smartmem.config import CACHED_CONFIG, PCtrlParams, RequestOp
 
 
 def demo_transaction(design) -> None:
@@ -65,22 +57,21 @@ def main() -> None:
     demo_transaction(design)
     print()
 
-    full = compile_full(design)
-    rows = [("full", None, full), ]
-    for config, name in ((CACHED_CONFIG, "cached"), (UNCACHED_CONFIG, "uncached")):
-        rows.append((f"auto/{name}", config, compile_auto(design, config)))
-        rows.append((f"manual/{name}", config, compile_manual(design, config)))
+    # Fig. 9's five jobs: Full, then Auto and Manual per configuration,
+    # each binding its configuration in-flow (the pe_bind pass).
+    compiled = compile_many(build_jobs(design))
 
     print("flow             comb um^2   seq um^2   total um^2")
-    for name, _config, result in rows:
-        area = result.area
+    for (flow, config_name), ctx in compiled.items():
+        name = flow if flow == "full" else f"{flow}/{config_name}"
+        area = ctx.area
         print(
             f"{name:15s}  {area.combinational:9.1f}  {area.sequential:9.1f}"
             f"  {area.total:11.1f}"
         )
 
-    auto_unc = next(r for n, _c, r in rows if n == "auto/uncached").area.total
-    man_unc = next(r for n, _c, r in rows if n == "manual/uncached").area.total
+    auto_unc = compiled[("auto", "uncached")].area.total
+    man_unc = compiled[("manual", "uncached")].area.total
     print()
     print(
         f"manual saves {1 - man_unc / auto_unc:.1%} over auto in uncached "

@@ -98,10 +98,7 @@ def shipped_jobs() -> "list[tuple[str, object]]":
     from repro.smartmem.pctrl import build_pctrl
 
     design = build_pctrl(fig9_pctrl.Fig9Scale.named("small").params)
-    labelled = [
-        ("fig9", job)
-        for job in fig9_pctrl.build_jobs(fig9_pctrl.flow_inputs(design))
-    ]
+    labelled = [("fig9", job) for job in fig9_pctrl.build_jobs(design)]
     labelled += [("techsweep", job) for job in techsweep.build_jobs("small")]
     return [
         (f"{figure}/{'/'.join(map(str, job.key))}", job)

@@ -4,12 +4,12 @@ The structural linters (:mod:`repro.check.irlint`) walk graphs; this
 module *interprets* them: a generic worklist fixpoint solver
 (:func:`solve`) over pluggable lattices, instantiated three ways:
 
-* **predicate-aware FSM reachability** -- symbolic input conditions
-  propagated through transitions.  Strictly stronger than CHK201/202's
-  edge-existence walk: a state every edge can reach but no *allowed
-  input* can reach is CHK701, and a cube-form transition guard no
-  allowed input satisfies -- discharged via :mod:`repro.sat` -- is
-  CHK702.
+* **predicate-aware FSM reachability** -- the FSM's own reachability
+  walk over only the input words a predicate admits.  Stronger than
+  CHK201/202's edge-existence walk: a state every edge can reach but
+  no *allowed input* can reach is CHK701, and a cube-form transition
+  guard no allowed input satisfies -- discharged via :mod:`repro.sat`
+  -- is CHK702.
 * **constant/interval propagation over microcode** -- per-field
   constant folding over the control words an
   :class:`~repro.controllers.assembler.AssembledProgram` can reach
@@ -34,16 +34,7 @@ from collections import deque
 from typing import Callable, Iterable
 
 from repro.check.diagnostics import Diagnostic
-
-
-def _diag(code, severity, location, message, suggestion=None) -> Diagnostic:
-    return Diagnostic(
-        code=code,
-        severity=severity,
-        location=location,
-        message=message,
-        suggestion=suggestion,
-    )
+from repro.check.irlint import _cube_matches
 
 
 # ---------------------------------------------------------------------
@@ -193,15 +184,6 @@ def fold(lattice: Lattice, values: Iterable):
 # ---------------------------------------------------------------------
 # FSM reachability under input predicates
 # ---------------------------------------------------------------------
-def _cube_matches(cube: str, word: int) -> bool:
-    bits = len(cube)
-    for position in range(bits):
-        want = cube[bits - 1 - position]  # cube[0] is the MSB
-        if want != "-" and int(want) != (word >> position) & 1:
-            return False
-    return True
-
-
 def allowed_input_words(
     num_inputs: int, allowed_inputs=None
 ) -> "list[int]":
@@ -235,19 +217,13 @@ def allowed_input_words(
 def fsm_reachable_states(spec, allowed_inputs=None) -> "set[int]":
     """States of an :class:`~repro.controllers.fsm.FsmSpec` reachable
     from reset when inputs are confined to ``allowed_inputs`` (see
-    :func:`allowed_input_words`).  With no predicate this coincides
-    with ``spec.reachable_states()``; a predicate makes it strictly
-    stronger."""
-    words = allowed_input_words(spec.num_inputs, allowed_inputs)
-
-    def successors(state):
-        return [
-            (spec.next_state[state][word], None) for word in words
-        ]
-
-    lattice = BoolLattice()
-    facts = solve(successors, {spec.reset_state: True}, lattice)
-    return {state for state, fact in facts.items() if fact}
+    :func:`allowed_input_words`): the spec's own walk over the words
+    the predicate admits."""
+    return set(
+        spec.reachable_states(
+            allowed_input_words(spec.num_inputs, allowed_inputs)
+        )
+    )
 
 
 def analyze_fsm(spec, allowed_inputs=None) -> "list[Diagnostic]":
@@ -269,7 +245,7 @@ def analyze_fsm(spec, allowed_inputs=None) -> "list[Diagnostic]":
             "under the declared input predicate " if constrained else ""
         )
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK701",
                 "warning",
                 f"{where} state {state}",
@@ -341,7 +317,7 @@ def analyze_guards(
             satisfiable.append((state, cube, target))
             continue
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK702",
                 "warning",
                 f"state {state} row {index}",
@@ -361,7 +337,7 @@ def analyze_guards(
         if facts.get(state):
             continue
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK701",
                 "warning",
                 f"state {state}",
@@ -404,7 +380,7 @@ def analyze_microcode(
         seq_op, _, target = program.seq_words[addr]
         if seq_op == SeqOp.BRANCH and target == (addr + 1) % depth:
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK703",
                     "warning",
                     f"addr {addr}",
@@ -429,7 +405,7 @@ def analyze_microcode(
             if value in (CONST_BOTTOM, CONST_TOP):
                 continue
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK704",
                     "warning",
                     f"field {field.name!r}",
@@ -446,7 +422,7 @@ def analyze_microcode(
         for addr in reachable
     ):
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK705",
                 "warning",
                 f"dispatch {program.dispatch.name!r}",
@@ -514,7 +490,7 @@ def analyze_aig(aig) -> "list[Diagnostic]":
         more = "" if len(dead_latches) <= 4 else ", ..."
         parts.append(f"latches {shown}{more}")
     return [
-        _diag(
+        Diagnostic(
             "CHK706",
             "warning",
             "; ".join(parts),
@@ -569,7 +545,7 @@ def analyze_netlist(netlist) -> "list[Diagnostic]":
         more = "" if len(dead_flops) <= 4 else ", ..."
         parts.append(f"flops {shown}{more}")
     return [
-        _diag(
+        Diagnostic(
             "CHK706",
             "warning",
             "; ".join(parts),

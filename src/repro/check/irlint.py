@@ -38,16 +38,6 @@ from repro.check.diagnostics import Diagnostic
 MAX_COVERAGE_BITS = 16
 
 
-def _diag(code, severity, location, message, suggestion=None) -> Diagnostic:
-    return Diagnostic(
-        code=code,
-        severity=severity,
-        location=location,
-        message=message,
-        suggestion=suggestion,
-    )
-
-
 # ---------------------------------------------------------------------
 # FSM specs
 # ---------------------------------------------------------------------
@@ -61,7 +51,7 @@ def lint_fsm(spec) -> "list[Diagnostic]":
     for state in range(spec.num_states):
         if state not in reachable:
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK201",
                     "warning",
                     f"{where} state {state}",
@@ -78,7 +68,7 @@ def lint_fsm(spec) -> "list[Diagnostic]":
             continue  # already flagged; a trap you cannot enter is moot
         if all(target == state for target in spec.next_state[state]):
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK202",
                     "warning",
                     f"{where} state {state}",
@@ -95,11 +85,11 @@ def _cubes_intersect(a: str, b: str) -> bool:
     )
 
 
-def _cube_matches(cube: str, word: int, bits: int) -> bool:
+def _cube_matches(cube: str, word: int) -> bool:
+    bits = len(cube)
     for position in range(bits):
-        bit = (word >> position) & 1
         want = cube[bits - 1 - position]  # cube[0] is the MSB
-        if want != "-" and int(want) != bit:
+        if want != "-" and int(want) != (word >> position) & 1:
             return False
     return True
 
@@ -143,7 +133,7 @@ def lint_transitions(
             for index_b, cube_b, target_b in entries[position + 1:]:
                 if target_a != target_b and _cubes_intersect(cube_a, cube_b):
                     diagnostics.append(
-                        _diag(
+                        Diagnostic(
                             "CHK203",
                             "error",
                             f"state {state} rows {index_a} and {index_b}",
@@ -158,8 +148,7 @@ def lint_transitions(
             word
             for word in range(1 << num_input_bits)
             if not any(
-                _cube_matches(cube, word, num_input_bits)
-                for _, cube, _ in entries
+                _cube_matches(cube, word) for _, cube, _ in entries
             )
         ]
         if uncovered:
@@ -168,7 +157,7 @@ def lint_transitions(
             )
             more = "" if len(uncovered) <= 4 else ", ..."
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK204",
                     "error",
                     f"state {state}",
@@ -190,7 +179,7 @@ def lint_program(program) -> "list[Diagnostic]":
         assembled = program.assemble()
     except (ValueError, KeyError) as exc:
         return [
-            _diag(
+            Diagnostic(
                 "CHK300",
                 "error",
                 f"program ({len(program.instructions)} instructions)",
@@ -212,7 +201,7 @@ def lint_microcode(program) -> "list[Diagnostic]":
 
     if length > depth:
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK303",
                 "error",
                 "program",
@@ -222,7 +211,7 @@ def lint_microcode(program) -> "list[Diagnostic]":
         )
     if len(program.seq_words) != length:
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK303",
                 "error",
                 "program",
@@ -236,7 +225,7 @@ def lint_microcode(program) -> "list[Diagnostic]":
     for addr, control in enumerate(program.control_words):
         if not 0 <= control < control_limit:
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK303",
                     "error",
                     f"addr {addr}",
@@ -252,7 +241,7 @@ def lint_microcode(program) -> "list[Diagnostic]":
             int(SeqOp.DISPATCH),
         ):
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK303",
                     "error",
                     f"addr {addr}",
@@ -262,7 +251,7 @@ def lint_microcode(program) -> "list[Diagnostic]":
             continue
         if not 0 <= cond_sel < cond_limit:
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK303",
                     "error",
                     f"addr {addr}",
@@ -273,7 +262,7 @@ def lint_microcode(program) -> "list[Diagnostic]":
         if seq_op in (int(SeqOp.JUMP), int(SeqOp.BRANCH)):
             if not 0 <= target < depth:
                 diagnostics.append(
-                    _diag(
+                    Diagnostic(
                         "CHK303",
                         "error",
                         f"addr {addr}",
@@ -283,7 +272,7 @@ def lint_microcode(program) -> "list[Diagnostic]":
                 )
             elif target >= length:
                 diagnostics.append(
-                    _diag(
+                    Diagnostic(
                         "CHK301",
                         "error",
                         f"addr {addr}",
@@ -295,7 +284,7 @@ def lint_microcode(program) -> "list[Diagnostic]":
             fallthrough = addr + 1
             if fallthrough >= length and length < depth:
                 diagnostics.append(
-                    _diag(
+                    Diagnostic(
                         "CHK302",
                         "warning",
                         f"addr {addr}",
@@ -311,7 +300,7 @@ def lint_microcode(program) -> "list[Diagnostic]":
             program.dispatch.resolve(program.labels)
         except KeyError as exc:
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK305",
                     "error",
                     f"dispatch {program.dispatch.name!r}",
@@ -329,7 +318,7 @@ def lint_microcode(program) -> "list[Diagnostic]":
             shown = ", ".join(str(a) for a in unreachable[:6])
             more = "" if len(unreachable) <= 6 else ", ..."
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK304",
                     "warning",
                     f"addrs {shown}{more}",
@@ -361,7 +350,7 @@ def lint_aig(aig) -> "list[Diagnostic]":
             source = fanin >> 1
             if source >= node:
                 diagnostics.append(
-                    _diag(
+                    Diagnostic(
                         "CHK401",
                         "error",
                         f"node {node}",
@@ -374,7 +363,7 @@ def lint_aig(aig) -> "list[Diagnostic]":
     for latch in aig.latches:
         if latch.next_lit >> 1 >= num_nodes:
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK401",
                     "error",
                     f"latch {latch.name!r}",
@@ -385,7 +374,7 @@ def lint_aig(aig) -> "list[Diagnostic]":
     for name, lit in aig.pos:
         if lit >> 1 >= num_nodes:
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK401",
                     "error",
                     f"po {name!r}",
@@ -414,7 +403,7 @@ def lint_aig(aig) -> "list[Diagnostic]":
         shown = ", ".join(str(n) for n in dangling[:6])
         more = "" if len(dangling) <= 6 else ", ..."
         diagnostics.append(
-            _diag(
+            Diagnostic(
                 "CHK402",
                 "warning",
                 f"nodes {shown}{more}",
@@ -452,7 +441,7 @@ def lint_netlist(netlist) -> "list[Diagnostic]":
     for net, sources in sorted(drivers.items()):
         if len(sources) > 1:
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK502",
                     "error",
                     f"net {net}",
@@ -474,7 +463,7 @@ def lint_netlist(netlist) -> "list[Diagnostic]":
     for net, consumer in sorted(consumers.items()):
         if net not in drivers:
             diagnostics.append(
-                _diag(
+                Diagnostic(
                     "CHK503",
                     "error",
                     f"net {net}",
@@ -502,7 +491,7 @@ def lint_netlist(netlist) -> "list[Diagnostic]":
                 status = state.get(child.output, 0)
                 if status == 1:
                     diagnostics.append(
-                        _diag(
+                        Diagnostic(
                             "CHK501",
                             "error",
                             f"net {child.output}",

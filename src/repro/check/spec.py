@@ -28,6 +28,7 @@ from repro.flow.combinators import Conditional, Repeat
 from repro.flow.core import (
     PASS_REGISTRY,
     PASS_SCHEMAS,
+    STAGE_REQUIREMENTS,
     STAGES,
     FlowError,
     is_controller_ir,
@@ -44,16 +45,6 @@ from repro.flow.manager import (
 from repro.flow.schema import IR_KIND_CLASSES, PassSchema, option_problems
 
 _STAGE_ORDER = {stage: index for index, stage in enumerate(STAGES)}
-
-#: The exact runtime phrases of :meth:`repro.flow.core.Pass.requirement`,
-#: embedded in CHK105 messages so static rejections read like the
-#: runtime errors they preempt.
-_REQUIREMENTS = {
-    "ctrl": "needs a controller IR not yet lowered to RTL",
-    "rtl": "needs an un-elaborated RTL module",
-    "aig": "needs an elaborated AIG",
-    "netlist": "needs a mapped netlist",
-}
 
 #: How to advance one stage, for CHK105 suggestions.
 _LOWERING_HINTS = {
@@ -392,8 +383,8 @@ def _simulate(
                     location=item.location,
                     message=(
                         f"pass {item.name!r} (stage {stage}) "
-                        f"{_REQUIREMENTS[stage]}, but the design here is "
-                        f"at the {current} stage"
+                        f"{STAGE_REQUIREMENTS[stage]}, but the design here "
+                        f"is at the {current} stage"
                     ),
                     suggestion=hint,
                 )
@@ -440,7 +431,7 @@ def _simulate(
                     location=item.location,
                     message=(
                         f"pass {item.name!r} (stage {stage}) "
-                        f"{_REQUIREMENTS[stage]}, but repeating it "
+                        f"{STAGE_REQUIREMENTS[stage]}, but repeating it "
                         f"{item.times} times leaves the design at the "
                         f"{schema.out_stage} stage after the first run"
                     ),

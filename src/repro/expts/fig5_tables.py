@@ -38,7 +38,6 @@ from repro.flow.passes import (
     SizePass,
     TechMapPass,
 )
-from repro.synth.compiler import DesignCompiler
 from repro.tables.truthtable import TruthTable
 
 #: The paper's full grid.
@@ -79,7 +78,6 @@ def _comb_spec(clock_period_ns: float) -> str:
 
 def run_fig5(
     scale: str = "small",
-    compiler: DesignCompiler | None = None,
     clock_period_ns: float = 20.0,
     sweep_timing: bool = False,
     workers: int = 1,
@@ -106,7 +104,6 @@ def run_fig5(
     phase always uses the standard combinational pipeline.
     """
     config = Fig5Scale.named(scale)
-    library = (compiler or DesignCompiler()).library
     # Purely combinational designs: no FSM handling, just lower ->
     # elaborate -> optimize to convergence -> map -> size.
     if pipeline is None:
@@ -140,13 +137,13 @@ def run_fig5(
         jobs.append(
             CompileJob(
                 (label, "table"), f"table_rom,{body}",
-                ctrl=table, library=library,
+                ctrl=table,
             )
         )
         jobs.append(
             CompileJob(
                 (label, "sop"), f"table_minimize,{body}",
-                ctrl=table, library=library,
+                ctrl=table,
             )
         )
     compiled = compile_many(jobs, workers=workers, cache=cache, server=server)
@@ -175,13 +172,13 @@ def run_fig5(
             tight_jobs.append(
                 CompileJob(
                     (label, "table"), f"table_rom,{tight_body}",
-                    ctrl=tables[label], library=library,
+                    ctrl=tables[label],
                 )
             )
             tight_jobs.append(
                 CompileJob(
                     (label, "sop"), f"table_minimize,{tight_body}",
-                    ctrl=tables[label], library=library,
+                    ctrl=tables[label],
                 )
             )
         tight_compiled = compile_many(

@@ -40,7 +40,6 @@ from repro.flow.passes import (
     StateFoldingStage,
     TechMapPass,
 )
-from repro.synth.compiler import DesignCompiler
 from repro.synth.dc_options import StateAnnotation
 
 PAPER_INPUTS = (2, 8)
@@ -94,7 +93,6 @@ class Fig6Scale:
 
 def run_fig6(
     scale: str = "small",
-    compiler: DesignCompiler | None = None,
     clock_period_ns: float = 20.0,
     workers: int = 1,
     cache=None,
@@ -113,7 +111,6 @@ def run_fig6(
     lowering item.
     """
     config = Fig6Scale.named(scale)
-    library = (compiler or DesignCompiler()).library
     result = ExperimentResult(
         "Fig. 6 -- FSM synthesis: table-based vs case-statement",
         f"Random FSMs, m in {config.inputs}, n in {config.outputs}, "
@@ -148,13 +145,13 @@ def run_fig6(
         jobs.append(
             CompileJob(
                 (label, "case"), f"{lowerings['case']},{body}",
-                ctrl=spec, library=library,
+                ctrl=spec,
             )
         )
         jobs.append(
             CompileJob(
                 (label, "regular"), f"{lowerings['table']},{body}",
-                ctrl=spec, library=library,
+                ctrl=spec,
             )
         )
         jobs.append(
@@ -162,7 +159,6 @@ def run_fig6(
                 (label, "annotated"), f"{lowerings['table']},{body}",
                 ctrl=spec,
                 annotations=(StateAnnotation("state", tuple(range(s))),),
-                library=library,
             )
         )
     compiled = compile_many(jobs, workers=workers, cache=cache, server=server)

@@ -37,7 +37,6 @@ from repro.flow.passes import (
     StateFoldingStage,
     TechMapPass,
 )
-from repro.synth.compiler import DesignCompiler
 from repro.synth.dc_options import StateAnnotation
 
 PAPER_WIDTHS = (2, 4, 8, 16, 32, 64, 128)
@@ -95,7 +94,6 @@ class Fig8Scale:
 
 def run_fig8(
     scale: str = "small",
-    compiler: DesignCompiler | None = None,
     clock_period_ns: float = 20.0,
     workers: int = 1,
     cache=None,
@@ -109,7 +107,6 @@ def run_fig8(
     byte-identical to a cold serial run.
     """
     config = Fig8Scale.named(scale)
-    library = (compiler or DesignCompiler()).library
     result = ExperimentResult(
         "Fig. 8 -- generic vs direct area for the Fig. 7 design",
         f"Bus widths {config.widths}; flop styles {FLOP_STYLES}; "
@@ -150,7 +147,6 @@ def run_fig8(
                         CompileJob(
                             (n, style, treatment, role), pipeline,
                             module=module, annotations=annotations,
-                            library=library,
                         )
                     )
     with warnings.catch_warnings():

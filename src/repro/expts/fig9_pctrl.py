@@ -15,23 +15,13 @@ binding is fingerprinted and cached with the synthesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.expts.common import ExperimentResult, format_table
 from repro.flow import CompileJob, compile_many, default_pipeline
-from repro.smartmem.config import (
-    CACHED_CONFIG,
-    UNCACHED_CONFIG,
-    PCtrlConfig,
-    PCtrlParams,
-)
-from repro.smartmem.flows import auto_job, full_job, manual_job
+from repro.smartmem.config import CACHED_CONFIG, UNCACHED_CONFIG, PCtrlParams
 from repro.smartmem.pctrl import PCtrlDesign, build_pctrl
-from repro.synth.compiler import (
-    CompileResult,
-    DesignCompiler,
-    result_from_context,
-)
+from repro.synth.dc_options import CompileOptions
 
 
 @dataclass(frozen=True)
@@ -57,39 +47,40 @@ class Fig9Scale:
         raise ValueError(f"unknown scale {name!r}")
 
 
-def flow_inputs(design: PCtrlDesign) -> "dict[tuple[str, str], tuple]":
-    """The (module, bindings, annotations, options) tuple of each of
-    the five distinct syntheses, from their single definition in
-    :mod:`repro.smartmem.flows`.  Full is configuration-independent;
-    Auto and Manual exist per configuration."""
-    inputs: dict[tuple[str, str], tuple] = {}
-    inputs[("full", "any")] = full_job(design)
+def build_jobs(design: PCtrlDesign) -> "list[CompileJob]":
+    """The five distinct syntheses of the figure, each on the flexible
+    module: Full is configuration-independent; Auto binds one
+    configuration in-flow (``pe_bind``) with no cross-flop knowledge;
+    Manual adds the generator's opcode-pinned state annotations.  All
+    run the facade's default flow at the paper's 5 ns clock with no
+    re-encoding (the annotations assert value sets without changing
+    codes, as the hand-tuned netlists kept their encodings).
+
+    This is the one definition of the figure's jobs: :func:`run_fig9`
+    submits them and ``repro.check specs`` lints them.
+    """
+    body = default_pipeline(
+        CompileOptions(clock_period_ns=5.0, fsm_encoding="same")
+    ).spec()
+    jobs = [CompileJob(("full", "any"), body, module=design.flexible)]
     for config, config_name in (
         (CACHED_CONFIG, "cached"),
         (UNCACHED_CONFIG, "uncached"),
     ):
-        inputs[("auto", config_name)] = auto_job(design, config)
-        inputs[("manual", config_name)] = manual_job(design, config)
-    return inputs
-
-
-def build_jobs(inputs: dict, library=None) -> "list[CompileJob]":
-    """One compile job per :func:`flow_inputs` entry: Full runs the
-    facade's default flow for its options, and Auto/Manual prepend the
-    ``pe_bind`` stage.  ``repro.check specs`` lints these jobs without
-    running the figure, so :func:`run_fig9` must submit exactly
-    these."""
-    jobs = []
-    for key, (module, bindings, annotations, options) in inputs.items():
-        body = default_pipeline(options).spec()
+        bindings = design.bindings(config)
         jobs.append(
             CompileJob(
-                key,
-                body if bindings is None else f"pe_bind,{body}",
-                module=module,
-                bindings=bindings,
-                annotations=annotations,
-                library=library,
+                ("auto", config_name), f"pe_bind,{body}",
+                module=design.flexible, bindings=bindings,
+            )
+        )
+        jobs.append(
+            CompileJob(
+                ("manual", config_name), f"pe_bind,{body}",
+                module=design.flexible, bindings=bindings,
+                annotations=tuple(
+                    design.annotations(config, pinned_opcodes=True)
+                ),
             )
         )
     return jobs
@@ -97,38 +88,23 @@ def build_jobs(inputs: dict, library=None) -> "list[CompileJob]":
 
 def run_fig9(
     scale: str = "medium",
-    compiler: DesignCompiler | None = None,
     workers: int = 1,
     cache=None,
     server: "str | None" = None,
 ) -> ExperimentResult:
     """Run the Full/Auto/Manual comparison.
 
-    The five distinct syntheses (Full is configuration-independent;
-    Auto and Manual exist per configuration) are independent jobs:
-    ``workers`` fans them out across processes and ``cache`` skips
+    The five jobs of :func:`build_jobs` are independent: ``workers``
+    fans them out across processes and ``cache`` skips
     fingerprint-identical reruns (see :func:`repro.flow.compile_many`).
     """
     params = Fig9Scale.named(scale).params
-    compiler = compiler or DesignCompiler()
-    inputs = flow_inputs(build_pctrl(params))
-    jobs = build_jobs(inputs, compiler.library)
+    jobs = build_jobs(build_pctrl(params))
     compiled = compile_many(jobs, workers=workers, cache=cache, server=server)
 
-    runs: dict[tuple[str, str], CompileResult] = {}
-
-    def packaged(key) -> CompileResult:
-        _, _, annotations, options = inputs[key]
-        return result_from_context(
-            compiled[key],
-            replace(options, state_annotations=list(annotations)),
-        )
-
-    full = packaged(("full", "any"))
-    for config_name in ("cached", "uncached"):
-        runs[("full", config_name)] = full
-        for flow in ("auto", "manual"):
-            runs[(flow, config_name)] = packaged((flow, config_name))
+    def area(flow, config_name):
+        key = ("full", "any") if flow == "full" else (flow, config_name)
+        return compiled[key].area
 
     result = ExperimentResult(
         "Fig. 9 -- PCtrl area: Full / Auto / Manual x Cached / Uncached",
@@ -138,32 +114,25 @@ def run_fig9(
         f"5 ns clock, TSMC-90nm-class library.",
     )
     result.meta["pipelines"] = {
-        "/".join(job.key): (
-            job.pipeline if isinstance(job.pipeline, str)
-            else job.pipeline.spec()
-        )
-        for job in jobs
+        "/".join(job.key): job.pipeline for job in jobs
     }
     rows = []
     for config_name in ("cached", "uncached"):
         for flow in ("full", "auto", "manual"):
-            area = runs[(flow, config_name)].area
+            flow_area = area(flow, config_name)
             rows.append(
                 [
                     config_name,
                     flow,
-                    f"{area.combinational:.0f}",
-                    f"{area.sequential:.0f}",
-                    f"{area.total:.0f}",
-                    f"{area.total * 1.0:.0f}",  # power proxy ~ area
+                    f"{flow_area.combinational:.0f}",
+                    f"{flow_area.sequential:.0f}",
+                    f"{flow_area.total:.0f}",
+                    f"{flow_area.total * 1.0:.0f}",  # power proxy ~ area
                 ]
             )
     result.tables["Area (um^2) and switched-cap power proxy"] = format_table(
         ["config", "flow", "comb", "seq", "total", "power~"], rows
     )
-
-    def area(flow, config_name):
-        return runs[(flow, config_name)].area
 
     for config_name in ("cached", "uncached"):
         full_area = area("full", config_name)

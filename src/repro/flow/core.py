@@ -53,6 +53,15 @@ RECURSION_HEADROOM = 100_000
 #: not been lowered to RTL yet.
 STAGES = ("ctrl", "rtl", "aig", "netlist")
 
+#: What a pass of each stage needs of the context: the runtime stage
+#: error says it, and the spec checker's CHK105 repeats it verbatim.
+STAGE_REQUIREMENTS = {
+    "ctrl": "needs a controller IR not yet lowered to RTL",
+    "rtl": "needs an un-elaborated RTL module",
+    "aig": "needs an elaborated AIG",
+    "netlist": "needs a mapped netlist",
+}
+
 
 def is_controller_ir(value) -> bool:
     """Does ``value`` implement the :class:`ControllerIR` protocol?"""
@@ -366,21 +375,13 @@ class Pass:
         pipeline entries (``name?``) are skipped when this is False."""
         return True
 
-    def requirement(self) -> str:
-        return {
-            "ctrl": "needs a controller IR not yet lowered to RTL",
-            "rtl": "needs an un-elaborated RTL module",
-            "aig": "needs an elaborated AIG",
-            "netlist": "needs a mapped netlist",
-        }[self.stage]
-
     # -- execution ----------------------------------------------------
     def execute(self, ctx: FlowContext) -> PassRecord:
         """Stage-check, run, and record this pass on ``ctx``."""
         if not self.ready(ctx):
             raise FlowError(
                 f"pass {self.name!r} (stage {self.stage}) cannot run here: "
-                f"{self.requirement()}"
+                f"{STAGE_REQUIREMENTS[self.stage]}"
             )
         before = ctx.aig_stats()
         # Frontend stats only on ctrl-stage passes: downstream records

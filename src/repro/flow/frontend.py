@@ -41,6 +41,8 @@ from repro.controllers.fsm_rtl import fsm_to_case_rtl, fsm_to_table_rtl
 from repro.controllers.sequencer import SequencerSpec, generate_sequencer
 from repro.flow.core import FlowContext, FlowError, Pass, register_pass
 from repro.flow.schema import Option, PassSchema
+from repro.pe.annotations import derive_annotations
+from repro.pe.bind import bind_tables
 from repro.synth.dc_options import ENCODING_STYLES, StateAnnotation
 from repro.synth.encode import reencode_register
 from repro.tables.rtl import SOP_ENGINES, table_to_rom_rtl, table_to_sop_rtl
@@ -334,12 +336,6 @@ class PeBindPass(Pass):
     stage = "rtl"
 
     def run(self, ctx: FlowContext) -> None:
-        # Imported here: repro.pe re-exports the specialize drivers,
-        # which import repro.flow -- a module-level import would cycle
-        # during package initialisation.
-        from repro.pe.annotations import derive_annotations
-        from repro.pe.bind import bind_tables
-
         if ctx.bindings is None:
             raise FlowError(
                 f"pass {self.name!r} needs configuration bindings on the "

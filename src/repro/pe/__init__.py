@@ -1,6 +1,6 @@
 """Partial evaluation of flexible controller designs.
 
-The generator-side API of the paper's methodology:
+The generator-side primitives of the paper's methodology:
 
 * :func:`~repro.pe.bind.bind_tables` turns a flexible design (config
   memories, write ports) into a bound design (ROMs) for one
@@ -8,28 +8,19 @@ The generator-side API of the paper's methodology:
   tables away;
 * :func:`~repro.pe.annotations.derive_annotations` computes state
   annotations from the design's own tables (reachability), the
-  information a generator should hand the tool alongside the RTL;
-* :func:`~repro.pe.specialize.specialize` runs the whole Auto flow
-  (bind, annotate, compile), and
-  :func:`~repro.pe.specialize.specialize_manual` additionally applies
-  configuration-pinned reachability -- the paper's hand optimizations.
+  information a generator should hand the tool alongside the RTL.
+
+Both run inside the flow: the registered ``pe_bind`` pass binds a
+job's configuration (``pe_bind{annotate=true}`` also derives the
+annotations), and :func:`repro.expts.fig9_pctrl.build_jobs` defines
+the Full, Auto and Manual jobs of Fig. 9.
 """
 
 from repro.pe.annotations import derive_annotations, onehot_annotation
 from repro.pe.bind import bind_tables
-from repro.pe.specialize import (
-    prepare_auto,
-    prepare_manual,
-    specialize,
-    specialize_manual,
-)
 
 __all__ = [
     "bind_tables",
     "derive_annotations",
     "onehot_annotation",
-    "prepare_auto",
-    "prepare_manual",
-    "specialize",
-    "specialize_manual",
 ]

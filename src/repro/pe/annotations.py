@@ -20,17 +20,13 @@ def onehot_annotation(reg_name: str, width: int) -> StateAnnotation:
 
 
 def derive_annotations(
-    module: Module,
-    reg_names: list[str] | None = None,
-    pinned: dict[str, int] | None = None,
+    module: Module, reg_names: list[str] | None = None
 ) -> list[StateAnnotation]:
     """Reachability-derived annotations for the given registers.
 
     Registers whose reachability cannot be computed exactly (data
     registers, cross-coupled state) are silently skipped; registers
-    that reach every code yield no annotation.  ``pinned`` holds
-    configuration inputs at fixed values, which is how a mode-pinned
-    ("Manual") derivation tightens the sets.
+    that reach every code yield no annotation.
     """
     names = reg_names if reg_names is not None else sorted(module.regs)
     annotations = []
@@ -39,7 +35,7 @@ def derive_annotations(
         if reg is None:
             raise ValueError(f"unknown register {name!r}")
         try:
-            states = reachable_states(module, name, pinned=pinned)
+            states = reachable_states(module, name)
         except ValueError:
             continue
         if len(states) == 1 << reg.width:

@@ -16,6 +16,7 @@ already extends to its directory's writers).
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from repro.flow.cache import CompileCache
@@ -82,14 +83,21 @@ def main(argv: list[str] | None = None) -> int:
         verbose=not args.quiet,
     )
     where = "memory-only" if args.memory_only else args.cache_dir
-    # The smoke tests and wrapper scripts grep this line for the
-    # resolved (possibly ephemeral) URL; keep its shape stable.
-    print(
-        f"serving on {server.url} (workers={args.workers}, "
-        f"cache={where})",
-        flush=True,
-    )
+    # Ctrl-C and SIGTERM both stop the server through close(), also
+    # when it was started with SIGINT ignored (a background job).  The
+    # handlers go in before the banner announces the server, and the
+    # banner prints inside the try, so a signal sent as soon as the
+    # banner is read is neither lost nor a traceback.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        # The smoke tests and wrapper scripts grep this line for the
+        # resolved (possibly ephemeral) URL; keep its shape stable.
+        print(
+            f"serving on {server.url} (workers={args.workers}, "
+            f"cache={where})",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down", flush=True)

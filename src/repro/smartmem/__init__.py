@@ -14,13 +14,13 @@ with the properties Fig. 9 depends on:
 * cached-coherence and uncached microprograms of very different
   sizes, so reachable-state pruning matters only for uncached mode.
 
-Entry points: :func:`~repro.smartmem.pctrl.build_pctrl` (the flexible
-design + generator knowledge) and the Full/Auto/Manual compile flows
-in :mod:`repro.smartmem.flows`.
+Entry point: :func:`~repro.smartmem.pctrl.build_pctrl` (the flexible
+design + generator knowledge: per-configuration bindings and state
+annotations).  The Full/Auto/Manual compile jobs of Fig. 9 are built
+from it by :func:`repro.expts.fig9_pctrl.build_jobs`.
 """
 
 from repro.smartmem.config import MemoryMode, PCtrlConfig, PCtrlParams, RequestOp
-from repro.smartmem.flows import compile_auto, compile_full, compile_manual
 from repro.smartmem.pctrl import PCtrlDesign, build_pctrl
 
 __all__ = [
@@ -30,7 +30,4 @@ __all__ = [
     "PCtrlParams",
     "RequestOp",
     "build_pctrl",
-    "compile_auto",
-    "compile_full",
-    "compile_manual",
 ]

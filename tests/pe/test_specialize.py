@@ -1,7 +1,8 @@
-"""Unit tests for the Auto/Manual specialization drivers.
+"""The Auto/Manual specialization flows, run through ``pe_bind``.
 
 The miniature version of the paper's Fig. 9 methodology, on a
-sequencer small enough for unit tests: Full vs Auto vs Manual.
+sequencer small enough for unit tests: Full vs Auto vs Manual, each
+compiling the *flexible* design with its configuration bound in-flow.
 """
 
 import pytest
@@ -10,10 +11,13 @@ from repro.controllers.assembler import Program
 from repro.controllers.dispatch import DispatchTable
 from repro.controllers.microcode import MicrocodeFormat, SeqOp
 from repro.controllers.sequencer import SequencerSpec, generate_sequencer
+from repro.flow import CompileJob, CompileJobError, PassManager, compile_many
+from repro.flow import passes as flow_passes
+from repro.flow.pipeline import default_pipeline
 from repro.pe.annotations import derive_annotations, onehot_annotation
-from repro.pe.specialize import specialize, specialize_manual
+from repro.rtl.builder import ModuleBuilder
 from repro.synth.compiler import DesignCompiler
-from repro.synth.dc_options import CompileOptions
+from repro.synth.dc_options import CompileOptions, StateAnnotation
 
 
 def make_sequencer_pair():
@@ -45,56 +49,56 @@ def make_sequencer_pair():
     return flexible, image
 
 
+def bindings_of(image):
+    return {
+        "ucode": image.instruction_words(),
+        "dispatch": image.dispatch_rows(),
+    }
+
+
+def compile_bound(flexible, image, bind="pe_bind{annotate=true}",
+                  options=None, annotations=()):
+    """Bind ``image`` into ``flexible`` in-flow, then run the default
+    flow for ``options``."""
+    body = default_pipeline(options or CompileOptions()).spec()
+    return PassManager.parse(f"{bind},{body}").compile(
+        flexible, bindings=bindings_of(image), annotations=annotations
+    )
+
+
 def test_auto_removes_all_config_storage():
     flexible, image = make_sequencer_pair()
-    compiler = DesignCompiler()
-    full = compiler.compile(flexible)
-    auto = specialize(
-        flexible,
-        {
-            "ucode": image.instruction_words(),
-            "dispatch": image.dispatch_rows(),
-        },
-        compiler=compiler,
-    )
+    full = DesignCompiler().compile(flexible)
+    auto = compile_bound(flexible, image)
     # Full keeps the table storage: many flops.  Auto keeps only uPC.
     assert full.area.sequential > 8 * auto.area.sequential
     assert auto.area.combinational < full.area.combinational
     # uPC register: 3 flops.
     assert auto.netlist.area_report().num_flops == 3
+    # The annotation pe_bind derived from the bound tables reached the
+    # context the rest of the flow honours.
+    assert [(a.reg_name, a.values) for a in auto.annotations] == [
+        ("upc", (0, 1, 2, 3, 4, 5))
+    ]
 
 
 def test_manual_beats_auto_when_paths_are_pinned():
     flexible, image = make_sequencer_pair()
-    compiler = DesignCompiler()
-    bindings = {
-        "ucode": image.instruction_words(),
-        "dispatch": image.dispatch_rows(),
-    }
-    auto = specialize(flexible, bindings, compiler=compiler)
-    # Manual: only opcode 1 (the short path) ever arrives.
-    from repro.synth.dc_options import StateAnnotation
-
+    auto = compile_bound(flexible, image)
+    # Manual: only opcode 1 (the short path) ever arrives; the
+    # generator's opcode-pinned uPC set travels as a job annotation.
     reachable = image.reachable_addresses(opcodes=[0, 1])
-    manual = specialize_manual(
-        flexible,
-        bindings,
-        pinned={"op": 1},
-        extra_annotations=[StateAnnotation("upc", reachable)],
-        compiler=compiler,
+    manual = compile_bound(
+        flexible, image, bind="pe_bind",
+        annotations=[StateAnnotation("upc", reachable)],
     )
-    assert manual.area.total < auto.area.total
+    assert auto.area.total == pytest.approx(123.1, abs=0.05)
+    assert manual.area.total == pytest.approx(26.6, abs=0.05)
 
 
 def test_specialized_design_behaves_like_program():
     flexible, image = make_sequencer_pair()
-    result = specialize(
-        flexible,
-        {
-            "ucode": image.instruction_words(),
-            "dispatch": image.dispatch_rows(),
-        },
-    )
+    result = compile_bound(flexible, image)
     from repro.sim.crosscheck import NetlistSim
 
     sim = NetlistSim(result.netlist)
@@ -111,13 +115,7 @@ def test_derive_annotations_on_bound_design():
     flexible, image = make_sequencer_pair()
     from repro.pe.bind import bind_tables
 
-    bound = bind_tables(
-        flexible,
-        {
-            "ucode": image.instruction_words(),
-            "dispatch": image.dispatch_rows(),
-        },
-    )
+    bound = bind_tables(flexible, bindings_of(image))
     annotations = derive_annotations(bound)
     by_reg = {a.reg_name: a for a in annotations}
     assert "upc" in by_reg
@@ -135,16 +133,55 @@ def test_onehot_annotation():
     assert annotation.values == (1, 2, 4, 8)
 
 
-def test_options_are_threaded_through():
+def test_options_are_threaded_through(monkeypatch):
     flexible, image = make_sequencer_pair()
-    result = specialize(
-        flexible,
-        {
-            "ucode": image.instruction_words(),
-            "dispatch": image.dispatch_rows(),
-        },
-        options=CompileOptions(clock_period_ns=7.5),
+    periods = []
+    real = flow_passes.size_for_clock
+
+    def spy(netlist, clock_period):
+        periods.append(clock_period)
+        return real(netlist, clock_period)
+
+    monkeypatch.setattr(flow_passes, "size_for_clock", spy)
+    result = compile_bound(
+        flexible, image, options=CompileOptions(clock_period_ns=7.5)
     )
-    assert result.options.clock_period_ns == 7.5
-    # Derived annotation is present in the honoured list.
-    assert any(a.reg_name == "upc" for a in result.honoured_annotations)
+    assert periods == [7.5]
+    # The derived annotation is among those the flow honoured.
+    assert any(a.reg_name == "upc" for a in result.annotations)
+
+
+def two_table_registers():
+    """Two registers, each stepping through its own config table."""
+    b = ModuleBuilder("pair")
+    for name in ("a", "b"):
+        state = b.reg(name, 2)
+        b.drive(state, b.config_mem(f"{name}_next", 2, 4).read(state))
+        b.output(f"{name}_out", state)
+    return b.build()
+
+
+def test_pe_bind_regs_narrows_the_derivation():
+    flexible = two_table_registers()
+    bindings = {"a_next": [1, 2, 0, 0], "b_next": [3, 0, 0, 0]}
+
+    def derived(spec):
+        ctx = PassManager.parse(spec).compile(flexible, bindings=bindings)
+        return {a.reg_name: a.values for a in ctx.annotations}
+
+    assert derived("pe_bind{annotate=true}") == {
+        "a": (0, 1, 2), "b": (0, 3)
+    }
+    assert derived("pe_bind{annotate=true,regs=b}") == {"b": (0, 3)}
+    assert derived("pe_bind") == {}
+
+
+def test_pe_bind_unknown_reg_fails_the_job_naming_it():
+    flexible = two_table_registers()
+    job = CompileJob(
+        "auto", "pe_bind{annotate=true,regs='a,ghost'},elaborate",
+        module=flexible,
+        bindings={"a_next": [1, 2, 0, 0], "b_next": [3, 0, 0, 0]},
+    )
+    with pytest.raises(CompileJobError, match="unknown register 'ghost'"):
+        compile_many([job])

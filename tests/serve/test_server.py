@@ -2,12 +2,17 @@
 caching, single-flight dedup, and error paths."""
 
 import json
+import os
 import pickle
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,7 @@ from repro.flow import (
     compile_many,
     flow_fingerprint,
 )
+import repro.serve
 from repro.serve import CompileServer, ServeClient
 from repro.rtl.builder import ModuleBuilder
 
@@ -276,3 +282,47 @@ def test_serve_forever_after_close_returns_at_once():
 def test_close_right_after_start_returns():
     for _ in range(20):
         assert _returns_promptly(CompileServer().start().close)
+
+
+@pytest.mark.parametrize(
+    "sig, sigint_ignored",
+    [
+        (signal.SIGINT, False),
+        # A background job starts with SIGINT ignored.
+        (signal.SIGINT, True),
+        (signal.SIGTERM, False),
+    ],
+    ids=["sigint", "sigint-while-ignored", "sigterm"],
+)
+def test_cli_server_stops_through_close_on_a_signal(sig, sigint_ignored):
+    """``python -m repro.serve`` exits 0 via ``close()`` on a signal sent
+    as soon as its banner is read."""
+    src = str(Path(repro.serve.__file__).parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+
+    def ignore_sigint():
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--port", "0",
+         "--memory-only", "--quiet"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        preexec_fn=ignore_sigint if sigint_ignored else None,
+    )
+    banner = proc.stdout.readline()
+    assert banner.startswith("serving on "), banner
+    proc.send_signal(sig)
+    try:
+        out, err = proc.communicate(timeout=5)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail(f"server still running 5 s after {sig.name}")
+    assert proc.returncode == 0, err
+    assert "shutting down" in out
