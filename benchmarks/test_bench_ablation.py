@@ -35,12 +35,12 @@ from repro.flow.passes import (
     StateFoldingStage,
     TechMapPass,
 )
-from repro.flow.frontend import PeBindPass
 from repro.synth.dc_options import StateAnnotation
 
 
 def standard_pipeline(encoding="binary", clock_period_ns=5.0):
-    """The default flow, composed explicitly from flow-API stages."""
+    """The default flow, composed explicitly from flow-API stages and
+    rendered to the spec string a compile job carries."""
     passes = [FsmInferPass(), HonourAnnotationsPass()]
     if encoding != "same":
         passes.append(EncodePass(style=encoding))
@@ -51,7 +51,7 @@ def standard_pipeline(encoding="binary", clock_period_ns=5.0):
         TechMapPass(),
         SizePass(clock_period_ns=clock_period_ns),
     ]
-    return PassManager(passes)
+    return PassManager(passes).spec()
 
 _FIELDS = (
     ("cmd", ["read", "write", "sync", "flush"]),
@@ -76,7 +76,7 @@ def _write_program(fmt: MicrocodeFormat):
     return prog.assemble(addr_bits=3, dispatch=table)
 
 
-def _sequencer_areas(fmt: MicrocodeFormat, pipeline: PassManager):
+def _sequencer_areas(fmt: MicrocodeFormat, pipeline: str):
     image = _write_program(fmt)
     flex_spec = SequencerSpec(
         "ablate", fmt, addr_bits=3, num_conditions=2, opcode_bits=2,
@@ -88,7 +88,7 @@ def _sequencer_areas(fmt: MicrocodeFormat, pipeline: PassManager):
             CompileJob("full", pipeline, module=flexible),
             CompileJob(
                 "auto",
-                PassManager([PeBindPass(annotate=True), *pipeline]),
+                f"pe_bind{{annotate=true}},{pipeline}",
                 module=flexible,
                 bindings={
                     "ucode": image.instruction_words(),

@@ -197,8 +197,7 @@ def check_spec_once(
     (:func:`~repro.flow.manager.remember_analysis`), which forgets it
     when a pass, schema or library factory is registered, removed or
     swapped, and which is bounded.  A compile server checks the same
-    few specs over and over; checking one builds every pass, and a
-    ``map{library=...}`` item builds its library.
+    few specs over and over, and checking one builds every pass.
     """
     found = remember_analysis(
         ("check", spec, input_stage, ir_kind, has_bindings),
@@ -216,27 +215,16 @@ def check_spec_once(
 
 def check_job(job) -> "list[Diagnostic]":
     """Typecheck one :class:`~repro.flow.parallel.CompileJob` -- the
-    compile server's admission check.  A job's pipeline may be a spec
-    string or a manager; its inputs determine the entry stage.  A spec
-    string is checked once per process for each entry stage, IR kind
-    and bindings flag it arrives with (:func:`check_spec_once`); a
-    manager is checked afresh (:func:`check_manager`)."""
-    input_stage, ir_kind = input_stage_of(
-        ctrl=job.ctrl, module=job.module, aig=job.aig
-    )
-    has_bindings = job.bindings is not None
-    if isinstance(job.pipeline, str):
-        return check_spec_once(
-            job.pipeline,
-            input_stage=input_stage,
-            ir_kind=ir_kind,
-            has_bindings=has_bindings,
-        )
-    return check_manager(
+    compile server's admission check.  The job's inputs determine the
+    entry stage; its spec is checked once per process for each entry
+    stage, IR kind and bindings flag it arrives with
+    (:func:`check_spec_once`)."""
+    input_stage, ir_kind = input_stage_of(ctrl=job.ctrl, module=job.module)
+    return check_spec_once(
         job.pipeline,
         input_stage=input_stage,
         ir_kind=ir_kind,
-        has_bindings=has_bindings,
+        has_bindings=job.bindings is not None,
     )
 
 

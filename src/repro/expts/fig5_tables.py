@@ -82,7 +82,7 @@ def run_fig5(
     sweep_timing: bool = False,
     workers: int = 1,
     cache=None,
-    pipeline: "PassManager | str | None" = None,
+    pipeline: "str | None" = None,
     server: "str | None" = None,
 ) -> ExperimentResult:
     """Run the Fig. 5 sweep at the given scale.
@@ -97,21 +97,19 @@ def run_fig5(
     ``workers``/``cache`` fan the independent compiles out across
     processes and skip fingerprint-identical jobs (see
     :func:`repro.flow.compile_many`); the result tables stay
-    byte-identical to a cold serial run.  ``pipeline`` (a spec string
-    or a ready pipeline) replaces the default relaxed-target RTL
-    flow; each treatment's lowering pass (``table_rom`` /
-    ``table_minimize``) is prepended by the driver.  The tightened
-    phase always uses the standard combinational pipeline.
+    byte-identical to a cold serial run.  ``pipeline`` (a spec string)
+    replaces the default relaxed-target RTL flow; each treatment's
+    lowering pass (``table_rom`` / ``table_minimize``) is prepended by
+    the driver.  The tightened phase always uses the standard
+    combinational pipeline.
     """
     config = Fig5Scale.named(scale)
     # Purely combinational designs: no FSM handling, just lower ->
     # elaborate -> optimize to convergence -> map -> size.
     if pipeline is None:
         body = _comb_spec(clock_period_ns)
-    elif isinstance(pipeline, str):
-        body = PassManager.parse(pipeline).spec()
     else:
-        body = pipeline.spec()
+        body = PassManager.parse(pipeline).spec()
     result = ExperimentResult(
         "Fig. 5 -- table-based combinational logic vs sum-of-products",
         f"Random functions, depths {config.depths}, widths "

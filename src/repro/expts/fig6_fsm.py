@@ -96,7 +96,7 @@ def run_fig6(
     clock_period_ns: float = 20.0,
     workers: int = 1,
     cache=None,
-    pipeline: "PassManager | str | None" = None,
+    pipeline: "str | None" = None,
     server: "str | None" = None,
 ) -> ExperimentResult:
     """Run the Fig. 6 sweep at the given scale.
@@ -105,10 +105,9 @@ def run_fig6(
     ``cache`` (a :class:`~repro.flow.CompileCache`) skips jobs whose
     fingerprints were already compiled; both leave the result tables
     byte-identical to a cold serial run.  ``pipeline`` (a spec string
-    or a ready pipeline ending in map/size stages) replaces the default
-    RTL-onward flow for every treatment -- the ROADMAP's pass-order
-    ablations; the driver prepends each treatment's ``fsm_encode``
-    lowering item.
+    ending in map/size stages) replaces the default RTL-onward flow
+    for every treatment -- the ROADMAP's pass-order ablations; the
+    driver prepends each treatment's ``fsm_encode`` lowering item.
     """
     config = Fig6Scale.named(scale)
     result = ExperimentResult(
@@ -124,10 +123,8 @@ def run_fig6(
     # differ only in the lowering prefix and the seeded annotations.
     if pipeline is None:
         body = default_body(clock_period_ns)
-    elif isinstance(pipeline, str):
-        body = PassManager.parse(pipeline).spec()
     else:
-        body = pipeline.spec()
+        body = PassManager.parse(pipeline).spec()
     lowerings = LOWERINGS
 
     grid = [

@@ -5,7 +5,7 @@ the tool chain transform controllers aggressively; this package applies
 the same argument to the tool chain itself.  Instead of one monolithic
 ``compile`` function, the flow is a :class:`PassManager` over small
 :class:`Pass` objects threading a :class:`FlowContext` (RTL module,
-AIG, annotations, netlist, RNG seed) from elaboration to sized
+AIG, annotations, netlist) from elaboration to sized
 netlist, in the style of MLIR's and Calyx's pass managers.
 
 Quick tour::
@@ -41,7 +41,6 @@ once, in its schema::
         options={"rounds": Option("int", default=1, min=1)},
     ))
     class MyPass(Pass):
-        stage = "aig"
         def run(self, ctx):
             ctx.aig = my_transform(ctx.aig, self.options["rounds"])
 
@@ -60,7 +59,7 @@ Compiles are cacheable and parallelizable::
     cache = CompileCache(".repro-cache")        # memory LRU + disk
     ctx = full.compile(my_module, cache=cache)  # fingerprint-keyed
     results = compile_many(                     # process-pool fan-out
-        [CompileJob(i, full, module=m) for i, m in enumerate(modules)],
+        [CompileJob(i, full.spec(), module=m) for i, m in enumerate(modules)],
         workers=8, cache=cache,
     )
 

@@ -10,7 +10,11 @@ stable *fingerprint* of everything that determines the result:
 * the rendered pipeline spec, including every non-default pass
   parameter (:meth:`PassManager.spec` -- which is why spec round-trip
   fidelity is load-bearing),
-* the seeded annotations, the RNG seed, and the cell library.
+* the seeded annotations and configuration bindings,
+* a digest of every registered cell library and of the default one
+  (:func:`repro.flow.passes.registered_libraries_digest`): a spec
+  names its library (``map{library=...}``), and the digest covers
+  what the names stand for.
 
 :class:`CompileCache` layers a bounded in-memory LRU over an optional
 on-disk :class:`LocalDirBackend`: pickled contexts written atomically
@@ -63,13 +67,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.flow.core import FlowContext, FlowError, is_controller_ir
-from repro.tech.cells import default_library_hash
 
 if TYPE_CHECKING:
     from repro.aig.graph import AIG
     from repro.rtl.module import Module
     from repro.synth.dc_options import StateAnnotation
-    from repro.tech.cells import Library
 
 #: Bump whenever fingerprinted semantics change (pass behaviour,
 #: context pickling layout) to invalidate every existing entry.
@@ -86,7 +88,10 @@ if TYPE_CHECKING:
 #: must never collide.
 #: Version 6: the ``facts`` slot and its key chunk left again with the
 #: facts bridge; proven value sets travel as seeded annotations.
-FINGERPRINT_VERSION = 6
+#: Version 7: the ``library`` and ``seed`` chunks (and the context
+#: slots) left: a spec names its library, the library digest covers
+#: the default, and the stateprop seed is a constant of its pass.
+FINGERPRINT_VERSION = 7
 
 #: Bump whenever the stage-snapshot envelope or the meaning of a
 #: restored mid-pipeline context changes: snapshot keys are derived
@@ -137,17 +142,17 @@ def flow_fingerprint(
     aig: "AIG | None" = None,
     annotations: Sequence["StateAnnotation"] = (),
     bindings: "dict[str, list[int]] | None" = None,
-    library: "Library | None" = None,
-    seed: int = 2011,
 ) -> str:
     """The cache key of one ``PassManager.compile`` invocation.
 
     Everything the run's result can depend on goes in: canonical input
-    hashes, the rendered pipeline spec (per-pass parameters included),
-    the seeded annotations in order (order can matter -- encoding
-    assigns codes by iteration), the library identity, and the RNG
-    seed.  Annotation values are hashed in the order given, and the
-    spec is the *rendered* string, so any pass whose parameters cannot
+    hashes, the rendered pipeline spec (per-pass parameters included,
+    so ``map{library=...}`` names its library), the seeded annotations
+    in order (order can matter -- encoding assigns codes by
+    iteration), and the digest of the registered and default cell
+    libraries (:func:`repro.flow.passes.registered_libraries_digest`).
+    Annotation values are hashed in the order given, and the spec is
+    the *rendered* string, so any pass whose parameters cannot
     round-trip through spec syntax raises rather than fingerprinting
     ambiguously.
 
@@ -164,14 +169,6 @@ def flow_fingerprint(
         annotations: seeded state annotations, hashed in order.
         bindings: configuration-memory contents consumed by the
             ``pe_bind`` pass; hashed name-sorted.
-        library: the cell library (``canonical_hash()``); ``None``
-            means the flow's default library, which is *resolved
-            before hashing* -- ``TechMapPass`` falls back to
-            :func:`repro.tech.cells.default_library` at run time, so
-            the fingerprint must cover that resolved library, not the
-            ``None`` placeholder, or a future change of the built-in
-            default would serve stale cache hits.
-        seed: the context RNG seed.
 
     Returns:
         A hex SHA-256 digest; equal digests mean "same compile".
@@ -189,8 +186,6 @@ def flow_fingerprint(
         aig=aig,
         annotations=annotations,
         bindings=bindings,
-        library=library,
-        seed=seed,
     )
     return _spec_digest(spec, chunks)
 
@@ -202,8 +197,6 @@ def _input_chunks(
     aig: "AIG | None" = None,
     annotations: Sequence["StateAnnotation"] = (),
     bindings: "dict[str, list[int]] | None" = None,
-    library: "Library | None" = None,
-    seed: int = 2011,
 ) -> "list[bytes]":
     """The input-dependent digest chunks of :func:`flow_fingerprint`,
     in hashing order -- everything except the version header and the
@@ -240,22 +233,17 @@ def _input_chunks(
             )
         ).encode(),
     ]
-    library_hash = (
-        default_library_hash() if library is None else library.canonical_hash()
-    )
-    chunks.append(repr(("library", library_hash)).encode())
-    # Specs carry pass-pinned libraries by *name* (map{library=...});
-    # the registry digest makes the names' definitions part of the
-    # key, so editing any registered kit invalidates instead of
-    # replaying results mapped against the old cells.  Imported
-    # lazily: this module loads before the pass registry during
-    # package import.
+    # Specs name their library (map{library=...}, or none for the
+    # default); the registry digest makes the names' definitions and
+    # the default part of the key, so editing any registered kit or
+    # changing the default invalidates instead of replaying results
+    # mapped against the old cells.  Imported lazily: this module
+    # loads before the pass registry during package import.
     from repro.flow.passes import registered_libraries_digest
 
     chunks.append(
         repr(("library-registry", registered_libraries_digest())).encode()
     )
-    chunks.append(repr(("seed", seed)).encode())
     return chunks
 
 
@@ -276,8 +264,6 @@ def fingerprint_prefixes(
     aig: "AIG | None" = None,
     annotations: Sequence["StateAnnotation"] = (),
     bindings: "dict[str, list[int]] | None" = None,
-    library: "Library | None" = None,
-    seed: int = 2011,
 ) -> "list[str]":
     """:func:`flow_fingerprint` folded over every pipeline prefix.
 
@@ -302,8 +288,6 @@ def fingerprint_prefixes(
         aig=aig,
         annotations=annotations,
         bindings=bindings,
-        library=library,
-        seed=seed,
     )
     return [_spec_digest(spec, chunks) for spec in prefix_specs]
 
@@ -531,7 +515,6 @@ class CompileCache:
         self.disk_hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.stores = 0  # guarded-by: _lock
-        self.inflight = 0  # guarded-by: _lock
         self.snapshot_hits = 0  # guarded-by: _lock
         self.snapshot_misses = 0  # guarded-by: _lock
         self.snapshot_stores = 0  # guarded-by: _lock
@@ -673,9 +656,7 @@ class CompileCache:
     def stats(self) -> dict:
         """A JSON-safe counter snapshot -- what the compile server
         exposes at ``/stats``.  ``disk_hits`` counts backend hits of
-        any kind; ``inflight`` is the number of cache-missing compiles
-        currently executing (maintained by callers through
-        :meth:`inflight_begin`/:meth:`inflight_end`)."""
+        any kind."""
         with self._lock:
             return {
                 "memory_hits": self.memory_hits,
@@ -683,7 +664,6 @@ class CompileCache:
                 "hits": self.memory_hits + self.disk_hits,
                 "misses": self.misses,
                 "stores": self.stores,
-                "inflight": self.inflight,
                 "memory_entries": len(self._memory),
                 "snapshot_hits": self.snapshot_hits,
                 "snapshot_misses": self.snapshot_misses,
@@ -717,17 +697,6 @@ class CompileCache:
         with self._lock:
             for name in COUNTERS:
                 setattr(self, name, getattr(self, name) + counts.get(name, 0))
-
-    # -- in-flight accounting -----------------------------------------
-    def inflight_begin(self) -> None:
-        """Mark one cache-missing compile as executing (server
-        handlers call this around the actual synthesis work)."""
-        with self._lock:
-            self.inflight += 1
-
-    def inflight_end(self) -> None:
-        with self._lock:
-            self.inflight -= 1
 
     # -- the memory layer ---------------------------------------------
     def put_memory(self, key: str, ctx: "FlowContext") -> None:
@@ -763,7 +732,7 @@ class CompileCache:
         """Evict on-disk entries by age, then by size budget.
 
         ``.repro-cache/`` otherwise grows without bound: every distinct
-        (design, pipeline, seed, library) fingerprint adds a pickle
+        (design, pipeline) fingerprint adds a pickle
         that nothing ever deletes.  The sweep first drops entries older
         than ``max_age_days`` (by mtime -- ``os.replace`` preserves the
         write time, so age means "time since this result was

@@ -39,7 +39,6 @@ if TYPE_CHECKING:
     from repro.synth.dc_options import StateAnnotation
     from repro.synth.elaborate import Elaboration
     from repro.synth.stateprop import FoldStats
-    from repro.tech.cells import Library
     from repro.tech.netlist import AreaReport, MappedNetlist
     from repro.tech.sizing import SizingResult
     from repro.tech.sta import TimingReport
@@ -256,8 +255,6 @@ class FlowContext:
     aig: "AIG | None" = None
     netlist: "MappedNetlist | None" = None
     annotations: list["StateAnnotation"] = field(default_factory=list)
-    library: "Library | None" = None
-    seed: int = 2011
     elaboration: "Elaboration | None" = None
     inferred_fsms: list = field(default_factory=list)
     fold_stats: "FoldStats | None" = None
@@ -322,12 +319,14 @@ class FlowContext:
 class Pass:
     """One named transform over a :class:`FlowContext`.
 
-    Subclasses declare ``stage`` -- the representation they consume
+    A pass has a ``stage`` -- the representation it consumes
     (``"ctrl"`` passes transform or lower a controller IR before any
     RTL exists, ``"rtl"`` passes run before elaboration, ``"aig"``
     passes need an elaborated graph, ``"netlist"`` passes need a
-    mapped netlist) -- and implement :meth:`run`.  Detail lines for
-    the legacy log are reported through :meth:`note`.
+    mapped netlist); a registered pass declares it in its
+    :class:`PassSchema`, and :func:`register_pass` sets the attribute.
+    Subclasses implement :meth:`run`.  Detail lines for the legacy log
+    are reported through :meth:`note`.
 
     A registered pass takes the options its :class:`PassSchema`
     declares, by keyword, and reads them from :attr:`options`; the
@@ -493,8 +492,9 @@ def register_pass(name: str, schema: "PassSchema | None" = None):
     Args:
         name: the spec name the pass registers under.
         schema: the pass's static contract (stages, IR kinds,
-            options).  Defaults to a bare stage-only schema derived
-            from the class's ``stage`` attribute.
+            options); the class's ``stage`` is set from it.  Defaults
+            to a bare stage-only schema derived from the class's own
+            ``stage`` attribute.
     """
 
     def decorate(cls):
@@ -504,16 +504,12 @@ def register_pass(name: str, schema: "PassSchema | None" = None):
                 f"{PASS_REGISTRY[name].__qualname__}"
             )
         resolved = schema if schema is not None else PassSchema(stage=cls.stage)
-        if resolved.stage != cls.stage:
-            raise FlowError(
-                f"pass {name!r}: schema stage {resolved.stage!r} "
-                f"contradicts class stage {cls.stage!r}"
-            )
         for key, option in resolved.options.items():
             problem = check_option(option, key, option.default)
             if problem is not None:
                 raise FlowError(f"pass {name!r}: default {problem[1]}")
         cls.name = name
+        cls.stage = resolved.stage
         cls.schema = resolved
         PASS_REGISTRY[name] = cls
         PASS_SCHEMAS[name] = resolved

@@ -101,8 +101,6 @@ class FsmEncodePass(Pass):
     own tables can do.
     """
 
-    stage = "ctrl"
-
     def __init__(self, **options) -> None:
         super().__init__(**options)
         if self.options["flexible"] and self.options["realize"] == "case":
@@ -150,8 +148,6 @@ class TableRomPass(Pass):
     """Lower a :class:`TruthTable` to a bound ROM read (the flexible
     style after binding -- elaboration partially evaluates it)."""
 
-    stage = "ctrl"
-
     def run(self, ctx: FlowContext) -> None:
         table = _require_ir(self, ctx, TruthTable)
         ctx.module = table_to_rom_rtl(table, self.options["name"])
@@ -182,8 +178,6 @@ class TableMinimizePass(Pass):
     minimized by the chosen engine (``isop``, exact ``qm``, or
     ``espresso`` improvement) -- the paper's hand-written style, and
     the table-engine ablation knob."""
-
-    stage = "ctrl"
 
     def run(self, ctx: FlowContext) -> None:
         table = _require_ir(self, ctx, TruthTable)
@@ -216,8 +210,6 @@ class MicrocodePackPass(Pass):
     """Assemble a symbolic :class:`Program` into its bit-level
     :class:`AssembledProgram` image (IR -> IR: labels resolve, fields
     pack, the attached dispatch table rides along)."""
-
-    stage = "ctrl"
 
     def run(self, ctx: FlowContext) -> None:
         program = _require_ir(self, ctx, Program)
@@ -263,8 +255,6 @@ class DispatchRomPass(Pass):
     asserted on the context, the paper's "straightforward for a
     generator to produce these annotations" in pass form.
     """
-
-    stage = "ctrl"
 
     def run(self, ctx: FlowContext) -> None:
         program = _require_ir(self, ctx, AssembledProgram)
@@ -332,8 +322,6 @@ class PeBindPass(Pass):
     the derivation to a comma-separated register list) -- the Auto
     flow of the Fig. 9 study as one pipeline item.
     """
-
-    stage = "rtl"
 
     def run(self, ctx: FlowContext) -> None:
         if ctx.bindings is None:

@@ -265,8 +265,6 @@ class PassManager:
         aig=None,
         annotations: Sequence = (),
         bindings=None,
-        library=None,
-        seed: int = 2011,
     ) -> list[str]:
         """:func:`~repro.flow.cache.fingerprint_prefixes` over this
         pipeline's prefixes with these inputs.  The last element is
@@ -280,8 +278,6 @@ class PassManager:
             aig=aig,
             annotations=annotations,
             bindings=bindings,
-            library=library,
-            seed=seed,
         )
 
     # -- execution ----------------------------------------------------
@@ -300,8 +296,6 @@ class PassManager:
         aig=None,
         annotations: Sequence = (),
         bindings=None,
-        library=None,
-        seed: int = 2011,
         cache=None,
     ) -> FlowContext:
         """Convenience: build a fresh context and run the pipeline.
@@ -314,7 +308,7 @@ class PassManager:
 
         With a :class:`~repro.flow.cache.CompileCache` as ``cache``,
         the run is keyed on the fingerprint of (inputs, rendered
-        pipeline spec, seed, library) -- the last of the pipeline's
+        pipeline spec) -- the last of the pipeline's
         :meth:`prefix_fingerprints`: a hit returns the cached
         completed context without executing any pass -- for an IR
         input that means zero lowerings *and* zero synthesis -- a miss
@@ -364,8 +358,6 @@ class PassManager:
             aig=aig,
             annotations=annotations,
             bindings=bindings,
-            library=library,
-            seed=seed,
         )
         fingerprints: list[str] = []
         if cache is not None:
@@ -469,8 +461,7 @@ def prefix_specs_of(spec: str) -> "list[str]":
     """``PassManager.parse(spec).prefix_specs()`` -- the last element is
     the canonical spec -- computed once per distinct spec per process
     (:func:`remember_analysis`).  A compile server sees the same few
-    specs over and over; parsing one builds every pass, and a
-    ``map{library=...}`` item builds its library.
+    specs over and over, and parsing one builds every pass.
 
     Raises:
         FlowError: what parsing or rendering the spec raised.
@@ -496,8 +487,6 @@ def prepare_resume(
     aig=None,
     annotations: Sequence = (),
     bindings=None,
-    library=None,
-    seed: int = 2011,
     cache=None,
     prefix_fingerprints: Sequence[str] = (),
 ) -> tuple[FlowContext, int]:
@@ -537,8 +526,6 @@ def prepare_resume(
             aig=aig,
             annotations=list(annotations),
             bindings=bindings,
-            library=library,
-            seed=seed,
         ),
         0,
     )

@@ -44,37 +44,34 @@ from repro.flow.manager import (
 )
 
 if TYPE_CHECKING:
-    from repro.aig.graph import AIG
     from repro.rtl.module import Module
-    from repro.tech.cells import Library
 
 
 @dataclass(frozen=True)
 class CompileJob:
-    """One independent compile: a pipeline over one design.
+    """One independent compile: a design plus one pipeline spec.
 
-    ``pipeline`` may be a :class:`PassManager` or a spec string (parsed
-    in the worker); everything else mirrors the keyword surface of
-    :meth:`PassManager.compile`.  ``key`` identifies the job in the
-    result mapping and must be unique within one ``compile_many`` call.
+    ``pipeline`` is a spec string (``PassManager.spec()`` renders one),
+    parsed where the job runs; it alone says how the design is
+    compiled, cell library included (``map{library=...}``).  The
+    design is the rest: a controller IR (``ctrl``, lowered by the
+    pipeline's ``ctrl``-stage passes) or an RTL ``module``, the
+    seeded state ``annotations``, and configuration-memory
+    ``bindings`` for ``pe_bind``.  Every field but ``key`` enters the
+    job's fingerprint.  ``key`` identifies the job in the result
+    mapping and must be unique within one ``compile_many`` call.
 
-    A job can start from the frontend stage: ``ctrl`` carries a
-    controller IR (``ControllerIR`` protocol) that the pipeline's
-    ``ctrl``-stage passes lower, and ``bindings`` carries
-    configuration-memory contents for ``pe_bind`` -- the job ships the
-    *IR*, not a pre-built module, so the lowering itself is cached,
-    parallelized, and fingerprinted like every other stage.
+    A job ships the *IR*, not a pre-built module, so the lowering
+    itself is cached, parallelized, and fingerprinted like every
+    other stage.
     """
 
     key: Hashable
-    pipeline: "PassManager | str"
+    pipeline: str
     module: "Module | None" = None
     ctrl: object | None = None
-    aig: "AIG | None" = None
     annotations: tuple = ()
     bindings: "dict[str, list[int]] | None" = None
-    library: "Library | None" = None
-    seed: int = 2011
 
 
 class CompileJobError(FlowError):
@@ -100,41 +97,29 @@ class CompileJobError(FlowError):
         return (CompileJobError, (self.key, self.error, self.records))
 
 
-def _resolve_pipeline(pipeline: "PassManager | str") -> PassManager:
-    if isinstance(pipeline, str):
-        return PassManager.parse(pipeline)
-    return pipeline
-
-
 def _job_inputs(job: CompileJob) -> dict:
     """The keyword inputs of :meth:`PassManager.compile` a job carries."""
     return dict(
         ctrl=job.ctrl,
         module=job.module,
-        aig=job.aig,
         annotations=job.annotations,
         bindings=job.bindings,
-        library=job.library,
-        seed=job.seed,
     )
 
 
 def _job_prefix_fingerprints(job: CompileJob) -> list[str]:
     """The job's prefix fingerprints; the last is its cache key.
 
-    A spec-string pipeline's prefix specs come from the process's spec
-    analysis memo (:func:`~repro.flow.manager.prefix_specs_of`), so a
-    spec seen before costs only the hashing of the job's inputs.
+    The prefix specs come from the process's spec analysis memo
+    (:func:`~repro.flow.manager.prefix_specs_of`), so a spec seen
+    before costs only the hashing of the job's inputs.
 
     Raises:
-        FlowError: the spec does not parse, or the pipeline has no
-            spec form.
+        FlowError: the spec does not parse.
     """
-    if isinstance(job.pipeline, str):
-        prefix_specs = prefix_specs_of(job.pipeline)
-    else:
-        prefix_specs = job.pipeline.prefix_specs()
-    return fingerprint_prefixes(prefix_specs, **_job_inputs(job))
+    return fingerprint_prefixes(
+        prefix_specs_of(job.pipeline), **_job_inputs(job)
+    )
 
 
 def _execute_job(
@@ -152,7 +137,7 @@ def _execute_job(
     (:func:`_plan_waves`) marked as shared with another job.  No spec
     check runs here; the compile server runs its own on every job it
     serves."""
-    pipeline = _resolve_pipeline(job.pipeline)
+    pipeline = PassManager.parse(job.pipeline)
     ctx, start = prepare_resume(
         pipeline,
         cache=cache,

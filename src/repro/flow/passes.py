@@ -44,7 +44,6 @@ from repro.aig.rewrite import rewrite, tt_sweep
 from repro.flow.combinators import FixedPoint, WhileProgress
 from repro.flow.core import (
     FlowContext,
-    FlowError,
     Pass,
     describe_registry,
     register_pass,
@@ -64,6 +63,7 @@ from repro.synth.retime import retime_backward
 from repro.synth.stateprop import fold_states
 from repro.synth.statesets import ValueSet
 from repro.synth.sweep import seq_sweep
+from repro.tech import cells
 from repro.tech.cells import Library, default_library
 from repro.tech.mapper import map_aig
 from repro.tech.sizing import size_for_clock
@@ -74,8 +74,6 @@ from repro.tech.sta import analyze_timing
 class FsmInferPass(Pass):
     """Recognise case-style FSMs and add their state sets as
     annotations (user annotations on the same register win)."""
-
-    stage = "rtl"
 
     def run(self, ctx: FlowContext) -> None:
         inferred = infer_fsms(ctx.module)
@@ -94,8 +92,6 @@ class FsmInferPass(Pass):
 class HonourAnnotationsPass(Pass):
     """Drop annotations the tool cannot honour (unknown registers,
     state vectors wider than the 32-bit cap) with a warning."""
-
-    stage = "rtl"
 
     def run(self, ctx: FlowContext) -> None:
         reg_widths = {
@@ -120,8 +116,6 @@ class HonourAnnotationsPass(Pass):
 )
 class EncodePass(Pass):
     """Re-encode every annotated state register (``set_fsm_encoding``)."""
-
-    stage = "rtl"
 
     def applies(self, ctx: FlowContext) -> bool:
         return self.options["style"] != "same" and bool(ctx.annotations)
@@ -163,8 +157,6 @@ class EncodePass(Pass):
 class ElaboratePass(Pass):
     """Elaborate RTL to a sequential AIG (bound tables partially
     evaluate here by construction)."""
-
-    stage = "rtl"
 
     def run(self, ctx: FlowContext) -> None:
         ctx.elaboration = elaborate(ctx.module, **self.options)
@@ -319,6 +311,12 @@ class RetimePass(Pass):
             ctx.mark_progress()
 
 
+#: The seed of the random simulation behind ``stateprop``'s candidate
+#: folds: a constant, so a compile is a function of its design and
+#: spec alone.
+STATEPROP_SEED = 2011
+
+
 @register_pass(
     "stateprop",
     PassSchema(
@@ -336,9 +334,10 @@ class FoldStatesPass(Pass):
 
     Locates each annotated register's latch bus in the AIG (annotations
     whose bus optimization already dissolved are dropped with a log
-    line), then runs randomized value-set propagation.  Flags progress
-    when any folding actually ran, which is what gates the follow-up
-    re-optimization in the default flow.
+    line), then runs randomized value-set propagation, seeded with
+    :data:`STATEPROP_SEED`.  Flags progress when any folding actually
+    ran, which is what gates the follow-up re-optimization in the
+    default flow.
     """
 
     def applies(self, ctx: FlowContext) -> bool:
@@ -377,7 +376,7 @@ class FoldStatesPass(Pass):
             ctx.aig,
             buses,
             rounds=self.options["rounds"],
-            rng=random.Random(ctx.seed),
+            rng=random.Random(STATEPROP_SEED),
         )
         stats = ctx.fold_stats
         self.note(
@@ -509,10 +508,11 @@ class StateFoldingStage(_Stage):
         )
 
 
-#: Libraries reconstructible from a spec string (``map{library=...}``).
-#: Every entry is a zero-argument factory; registering here is what
-#: makes a library addressable from pipeline specs, the ``techsweep``
-#: experiment driver, and cache fingerprints.
+#: The cell libraries a flow can map onto, by the name
+#: ``map{library=...}`` gives.  Every entry is a zero-argument factory;
+#: registering a kit here is the only way to use it in a flow (the
+#: ``techsweep`` driver sweeps them all), and
+#: :func:`registered_libraries_digest` covers it in cache fingerprints.
 LIBRARY_FACTORIES = {
     "tsmc90ish": Library.tsmc90ish,
     "generic45ish": Library.generic45ish,
@@ -532,28 +532,34 @@ _LIBRARIES_DIGEST_CACHE: tuple[tuple, str] | None = None
 
 
 def registered_libraries_digest() -> str:
-    """One content digest over every registered library.
+    """One content digest over every registered library and the
+    default one.
 
-    ``map{library=...}`` renders a library into specs (and hence cache
-    fingerprints) by *name*; the definitions behind the names live in
-    code, which fingerprints deliberately do not cover -- so an edit
-    to a registered library's cells would otherwise replay stale
-    cached results under the new definition's label.  Mixing this
-    digest into :func:`repro.flow.cache.flow_fingerprint` closes that
-    hole: any change to any registered kit (or registering a new one)
-    invalidates the cache.  Memoized per registry snapshot -- the
-    factories are module-level code objects, so recomputation only
-    happens when a test swaps one in.
+    A spec names its library (``map{library=...}``, or no option for
+    the default), and so does the cache fingerprint; the definitions
+    behind the names live in code, which fingerprints deliberately do
+    not cover -- so an edit to a registered library's cells, or a
+    change of :data:`repro.tech.cells.DEFAULT_LIBRARY_FACTORY`, would
+    otherwise replay stale cached results under the new definition's
+    label.  Mixing this digest into
+    :func:`repro.flow.cache.flow_fingerprint` closes that hole: any
+    change to any registered kit, registering a new one, or changing
+    the default invalidates the cache.  Memoized per snapshot of the
+    factories (the default read at call time) -- they are
+    module-level code objects, so recomputation only happens when a
+    test swaps one in.
     """
     global _LIBRARIES_DIGEST_CACHE
-    snapshot = registry_snapshot(LIBRARY_FACTORIES)
+    snapshot = registry_snapshot(
+        LIBRARY_FACTORIES, {None: cells.DEFAULT_LIBRARY_FACTORY}
+    )
     cached = _LIBRARIES_DIGEST_CACHE
     if cached is not None and same_registry(cached[0], snapshot):
         return cached[1]
     import hashlib
 
     digest = hashlib.sha256()
-    for name, factory in sorted(zip(*snapshot), key=lambda item: item[0]):
+    for name, factory in zip(*snapshot):
         digest.update(repr((name, factory().canonical_hash())).encode())
     _LIBRARIES_DIGEST_CACHE = (snapshot, digest.hexdigest())
     return _LIBRARIES_DIGEST_CACHE[1]
@@ -572,51 +578,26 @@ def registered_libraries_digest() -> str:
                 default=None,
                 nullable=True,
                 choices=registered_library_names,
-                help="registered cell library (default: context's)",
+                help="registered cell library (none: the default library)",
             ),
         },
     ),
 )
 class TechMapPass(Pass):
-    """Technology-map the AIG onto the context's cell library.
+    """Technology-map the AIG onto a registered cell library.
 
-    A library pinned on the pass (object or registered name) overrides
-    the context's; it is rendered into ``spec()`` by name so pipelines
-    differing only in library fingerprint differently.
+    The ``library`` option names the library (a key of
+    :data:`LIBRARY_FACTORIES`); without it the pass maps onto
+    :func:`repro.tech.cells.default_library`.  The library is built
+    here, when the pass runs, and nowhere else: parsing, rendering
+    and checking a spec build none.
     """
 
-    def __init__(self, **options) -> None:
-        # A Library object is pinned as given; a name (or anything
-        # else) is an option value the schema checks.
-        library = options.pop("library", None)
-        if not isinstance(library, Library):
-            options["library"] = library
-        super().__init__(**options)
-        if isinstance(library, str):
-            library = LIBRARY_FACTORIES[library]()
-        self.library = library
-
-    def params(self) -> dict:
-        if self.library is None:
-            return {}
-        factory = LIBRARY_FACTORIES.get(self.library.name)
-        if (
-            factory is None
-            or factory().canonical_hash() != self.library.canonical_hash()
-        ):
-            # The name alone would render (and fingerprint) a modified
-            # library as the stock one.
-            raise FlowError(
-                f"library {self.library.name!r} pinned on map is not a "
-                f"registered library; the pipeline has no spec form"
-            )
-        return {"library": self.library.name}
-
     def run(self, ctx: FlowContext) -> None:
-        # The same default the cache fingerprint resolves
-        # (flow_fingerprint hashes default_library() for a None
-        # library), so a changed default can never serve stale hits.
-        library = self.library or ctx.library or default_library()
+        name = self.options["library"]
+        library = (
+            default_library() if name is None else LIBRARY_FACTORIES[name]()
+        )
         ctx.netlist = map_aig(ctx.aig, library)
         self.note(f"map: {ctx.netlist.stats()}")
 
@@ -635,8 +616,6 @@ class TechMapPass(Pass):
 )
 class SizePass(Pass):
     """Gate sizing against the clock target, then STA + area report."""
-
-    stage = "netlist"
 
     def run(self, ctx: FlowContext) -> None:
         ctx.sizing = size_for_clock(

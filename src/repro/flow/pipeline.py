@@ -26,7 +26,7 @@ from repro.flow.passes import (
 from repro.synth.dc_options import CompileOptions
 
 
-def run_default_flow(module, options: CompileOptions, library=None, cache=None):
+def run_default_flow(module, options: CompileOptions, cache=None):
     """Run the facade's flow on ``module`` and return the context.
 
     Seeds the context with ``options.state_annotations`` -- the one
@@ -40,7 +40,6 @@ def run_default_flow(module, options: CompileOptions, library=None, cache=None):
     return default_pipeline(options).compile(
         module,
         annotations=list(options.state_annotations),
-        library=library,
         cache=cache,
     )
 

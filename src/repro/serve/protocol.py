@@ -1,10 +1,9 @@
 """The compile server's wire format: jobs and results as JSON lines.
 
 A batch request is one JSON object ``{"jobs": [...]}``; each job is a
-JSON envelope whose readable fields (pipeline spec, seed, bindings,
-library name) mirror :class:`~repro.flow.parallel.CompileJob`, while
-the design inputs themselves (controller IR / RTL module / AIG /
-annotations / a non-registered library object) ride as one
+JSON envelope whose readable fields (pipeline spec, bindings) mirror
+:class:`~repro.flow.parallel.CompileJob`, while the design inputs
+themselves (controller IR / RTL module / annotations) ride as one
 base64-encoded pickle blob -- the same serialization
 :func:`~repro.flow.parallel.compile_many` already trusts across its
 process pool, wrapped so the envelope stays a valid JSON document.
@@ -49,7 +48,10 @@ if TYPE_CHECKING:
 
 #: Bump on incompatible wire changes; both ends send it and refuse
 #: mismatches loudly instead of mis-decoding each other.
-PROTOCOL_VERSION = 1
+#: Version 2: the job envelope lost its ``seed`` and ``library`` fields
+#: and the payload its ``library`` and ``aig``; a version-1 client
+#: choosing a library or seed is refused, never served the default.
+PROTOCOL_VERSION = 2
 
 
 class ProtocolError(FlowError):
@@ -95,40 +97,26 @@ def _unb64(text: str):
 def encode_job(job: CompileJob, index: int) -> dict:
     """One job as a JSON-safe envelope (see the module docstring).
 
-    The pipeline travels as its *rendered spec string* -- the same
-    canonical form the fingerprint hashes -- so a pipeline whose
-    parameters cannot round-trip through spec syntax raises here
-    rather than compiling something subtly different server-side.  A
-    spec string is rendered once per process
-    (:func:`~repro.flow.manager.prefix_specs_of`); a manager is
-    rendered on every call.
+    The pipeline travels as its *canonical spec string* -- the same
+    form the fingerprint hashes -- rendered once per process for each
+    spec (:func:`~repro.flow.manager.prefix_specs_of`).
 
     Args:
         job: the compile job; ``job.key`` stays client-side.
         index: the job's position in the batch (the wire ``id``).
 
     Raises:
-        FlowError: an unparseable spec or spec-unrepresentable
-            pipeline.
+        FlowError: an unparseable spec.
     """
-    if isinstance(job.pipeline, str):
-        spec = prefix_specs_of(job.pipeline)[-1]
-    else:
-        spec = job.pipeline.spec()
-    library_name = None if job.library is None else job.library.name
     return {
         "id": index,
-        "pipeline": spec,
-        "seed": job.seed,
+        "pipeline": prefix_specs_of(job.pipeline)[-1],
         "bindings": job.bindings,
-        "library": library_name,
         "payload": _b64(
             {
                 "ctrl": job.ctrl,
                 "module": job.module,
-                "aig": job.aig,
                 "annotations": tuple(job.annotations),
-                "library": job.library,
             }
         ),
     }
@@ -151,11 +139,8 @@ def decode_job(data: dict) -> tuple[int, CompileJob]:
             pipeline=str(data["pipeline"]),
             ctrl=payload.get("ctrl"),
             module=payload.get("module"),
-            aig=payload.get("aig"),
             annotations=tuple(payload.get("annotations", ())),
             bindings=data.get("bindings"),
-            library=payload.get("library"),
-            seed=int(data.get("seed", 2011)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed job envelope: {exc}") from exc

@@ -292,17 +292,11 @@ class CompileServer:
             hit = self.cache.get(fingerprint)
             if hit is not None:
                 return hit, True, False
-            self.cache.inflight_begin()
-            try:
-                # The compile_many path on the server cache: resume
-                # from the deepest stage snapshot (a prefix leader's,
-                # or an earlier batch's), publish this job's planned
-                # snapshots and its completed entry.
-                fresh = _execute_job(
-                    job, self.cache, prefix_fps, snapshot_after
-                )
-            finally:
-                self.cache.inflight_end()
+            # The compile_many path on the server cache: resume from
+            # the deepest stage snapshot (a prefix leader's, or an
+            # earlier batch's), publish this job's planned snapshots
+            # and its completed entry.
+            fresh = _execute_job(job, self.cache, prefix_fps, snapshot_after)
             self._count("compiles")
             resumed = bool(fresh.meta.get("passes_skipped"))
             if resumed:

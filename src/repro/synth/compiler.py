@@ -40,7 +40,6 @@ from repro.flow.pipeline import run_default_flow
 from repro.rtl.module import Module
 from repro.synth.dc_options import CompileOptions, StateAnnotation
 from repro.synth.stateprop import FoldStats
-from repro.tech.cells import Library, default_library
 from repro.tech.netlist import AreaReport, MappedNetlist
 from repro.tech.sizing import SizingResult
 from repro.tech.sta import TimingReport
@@ -108,12 +107,12 @@ class DesignCompiler:
 
     A thin facade over :mod:`repro.flow`: every ``compile`` call builds
     the default pipeline for the given options and runs it on a fresh
-    context.  Callers who need to compose, reorder, or instrument the
-    flow construct a :class:`~repro.flow.PassManager` directly.
+    context, mapping onto the default cell library
+    (:func:`repro.tech.cells.default_library`).  Callers who need to
+    compose, reorder, or instrument the flow, or to map onto another
+    registered library (``map{library=...}``), construct a
+    :class:`~repro.flow.PassManager` directly.
     """
-
-    def __init__(self, library: Library | None = None) -> None:
-        self.library = library or default_library()
 
     def compile(
         self,
@@ -128,5 +127,5 @@ class DesignCompiler:
         result is repackaged from the cached context.
         """
         options = options or CompileOptions()
-        ctx = run_default_flow(module, options, library=self.library, cache=cache)
+        ctx = run_default_flow(module, options, cache=cache)
         return result_from_context(ctx, options)

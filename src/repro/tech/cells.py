@@ -266,36 +266,14 @@ class Library:
         return cls("lowpowerish", cells, flops)
 
 
-#: Factory for the library a flow falls back to when neither the
-#: ``map`` pass nor the context pins one.  Kept as a module-level
-#: callable (rather than hard-coded call sites) so the *resolved*
-#: default can be fingerprinted by the compile cache -- see
-#: :func:`repro.flow.cache.flow_fingerprint` -- and monkeypatched by
-#: tests.
+#: Factory for the library a flow maps onto when its ``map`` pass names
+#: none.  Kept as a module-level callable (rather than hard-coded call
+#: sites) so the compile cache can fingerprint whichever factory is
+#: the default -- see :func:`repro.flow.passes.registered_libraries_digest`
+#: -- and tests can monkeypatch it.
 DEFAULT_LIBRARY_FACTORY = Library.tsmc90ish
 
 
 def default_library() -> Library:
-    """The library used when no explicit one is given anywhere."""
+    """The library a flow maps onto when its ``map`` pass names none."""
     return DEFAULT_LIBRARY_FACTORY()
-
-
-#: (factory object, its library's canonical hash) -- holding the
-#: factory reference keeps the identity check sound (no id reuse).
-_DEFAULT_HASH_CACHE: tuple[object, str] | None = None
-
-
-def default_library_hash() -> str:
-    """Canonical hash of the current default library, memoized.
-
-    Fingerprinting resolves a ``None`` library through this on every
-    compile (see :func:`repro.flow.cache.flow_fingerprint`); building
-    and sha256-ing the full cell list each time would make hashing a
-    measurable cost on warm hundreds-of-jobs sweeps.  The memo is
-    keyed on the factory object itself, so swapping
-    :data:`DEFAULT_LIBRARY_FACTORY` recomputes."""
-    global _DEFAULT_HASH_CACHE
-    factory = DEFAULT_LIBRARY_FACTORY
-    if _DEFAULT_HASH_CACHE is None or _DEFAULT_HASH_CACHE[0] is not factory:
-        _DEFAULT_HASH_CACHE = (factory, factory().canonical_hash())
-    return _DEFAULT_HASH_CACHE[1]

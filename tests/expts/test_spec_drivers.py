@@ -26,15 +26,9 @@ from repro.flow.passes import (
     StateFoldingStage,
     TechMapPass,
 )
-from repro.synth.compiler import DesignCompiler
 from repro.synth.dc_options import StateAnnotation
 from repro.tables.rtl import table_to_rom_rtl, table_to_sop_rtl
 from repro.tables.truthtable import TruthTable
-
-
-@pytest.fixture(scope="module")
-def library():
-    return DesignCompiler().library
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +41,7 @@ def fig6_result():
     return run_fig6(scale="small")
 
 
-def test_fig5_payload_matches_the_pre_refactor_route(fig5_result, library):
+def test_fig5_payload_matches_the_pre_refactor_route(fig5_result):
     """Every point of the IR-driven fig5 equals a by-hand compile of
     the pre-refactor modules through the pre-refactor pipeline."""
     reference = PassManager(
@@ -69,16 +63,16 @@ def test_fig5_payload_matches_the_pre_refactor_route(fig5_result, library):
         rng = random.Random(hash((depth, width, seed)) & 0xFFFFFFFF)
         table = TruthTable.random((depth - 1).bit_length(), width, rng)
         table_ctx = reference.compile(
-            table_to_rom_rtl(table, f"tbl_{point.label}"), library=library
+            table_to_rom_rtl(table, f"tbl_{point.label}")
         )
         sop_ctx = reference.compile(
-            table_to_sop_rtl(table, f"sop_{point.label}"), library=library
+            table_to_sop_rtl(table, f"sop_{point.label}")
         )
         assert point.y == table_ctx.area.combinational
         assert point.x == sop_ctx.area.combinational
 
 
-def test_fig6_payload_matches_the_pre_refactor_route(fig6_result, library):
+def test_fig6_payload_matches_the_pre_refactor_route(fig6_result):
     reference = PassManager(
         [
             FsmInferPass(),
@@ -107,7 +101,7 @@ def test_fig6_payload_matches_the_pre_refactor_route(fig6_result, library):
         seed = int(point.label.rsplit("x", 1)[1])
         rng = random.Random(hash((m, n, s, seed)) & 0xFFFFFFFF)
         spec = random_fsm(m, n, s, rng)
-        case_ctx = reference.compile(fsm_to_case_rtl(spec), library=library)
+        case_ctx = reference.compile(fsm_to_case_rtl(spec))
         assert point.x == case_ctx.area.total
         table_module = fsm_to_table_rtl(spec)
         annotations = (
@@ -116,7 +110,7 @@ def test_fig6_payload_matches_the_pre_refactor_route(fig6_result, library):
             else []
         )
         treat_ctx = reference.compile(
-            table_module, annotations=annotations, library=library
+            table_module, annotations=annotations
         )
         assert point.y == treat_ctx.area.total
 

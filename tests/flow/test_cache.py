@@ -3,6 +3,7 @@ and the size/age sweep (``CompileCache.sweep``)."""
 
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -83,57 +84,56 @@ def test_aig_hash_ignores_dead_nodes():
 
 def test_fingerprint_covers_every_input():
     module = build_rom_module()
-    base = dict(module=module, seed=1, library=Library.tsmc90ish())
-    fp = flow_fingerprint("elaborate,optimize", **base)
-    assert fp == flow_fingerprint("elaborate,optimize", **base)
-    assert fp != flow_fingerprint("elaborate", **base)
+    fp = flow_fingerprint("elaborate,optimize", module=module)
+    assert fp == flow_fingerprint("elaborate,optimize", module=module)
+    assert fp != flow_fingerprint("elaborate", module=module)
     assert fp != flow_fingerprint(
-        "elaborate,optimize", **{**base, "seed": 2}
+        "elaborate,optimize", module=build_rom_module(5)
     )
-    assert fp != flow_fingerprint(
-        "elaborate,optimize", **{**base, "module": build_rom_module(5)}
-    )
-    # A None library resolves to the default (tsmc90ish today) before
-    # hashing: the fingerprint covers what TechMapPass will actually
-    # map with, so "no library" and "the default library" are the same
-    # compile -- and a *changed* default is a different one.
-    assert fp == flow_fingerprint(
-        "elaborate,optimize", **{**base, "library": None}
-    )
-    assert fp != flow_fingerprint(
-        "elaborate,optimize", **{**base, "library": Library.generic45ish()}
+    # The library is chosen by the spec: naming one is another compile.
+    assert flow_fingerprint("elaborate,map", module=module) != (
+        flow_fingerprint("elaborate,map{library=generic45ish}", module=module)
     )
     annotated = flow_fingerprint(
         "elaborate,optimize",
+        module=module,
         annotations=(StateAnnotation("state", (0, 1)),),
-        **base,
     )
     assert fp != annotated
+
+
+def same_netlist(one, two):
+    """Equal mapped netlists: the same cells, wired the same way, from
+    libraries with the same content."""
+    return one.library.canonical_hash() == two.library.canonical_hash() and (
+        replace(one, library=None) == replace(two, library=None)
+    )
 
 
 def test_default_library_is_resolved_before_fingerprinting(monkeypatch):
     """Regression: two jobs differing only in the *resolved* default
     library must miss each other's cache entries.
 
-    ``TechMapPass.run`` falls back to ``default_library()`` when
-    neither the pass nor the context pins one; the fingerprint must
-    resolve the same default up front, otherwise changing the built-in
+    ``TechMapPass.run`` maps onto ``default_library()`` when the spec
+    names no library; the fingerprint covers which factory that is
+    (``registered_libraries_digest``), otherwise changing the built-in
     default would replay results mapped against the old library.
     """
     from repro.tech import cells
 
     module = build_rom_module()
-    before = flow_fingerprint("elaborate,optimize,map,size", module=module)
+    before = flow_fingerprint("elaborate,map", module=module)
     monkeypatch.setattr(
         cells, "DEFAULT_LIBRARY_FACTORY", Library.generic45ish
     )
-    after = flow_fingerprint("elaborate,optimize,map,size", module=module)
+    after = flow_fingerprint("elaborate,map", module=module)
     assert before != after
-    # And the resolved default equals the explicitly-passed library.
-    assert after == flow_fingerprint(
-        "elaborate,optimize,map,size",
-        module=module,
-        library=Library.generic45ish(),
+    # And the resolved default maps exactly as the named library does.
+    assert same_netlist(
+        PassManager.parse("elaborate,map").compile(module).netlist,
+        PassManager.parse("elaborate,map{library=generic45ish}")
+        .compile(module)
+        .netlist,
     )
 
 
@@ -153,6 +153,10 @@ def test_default_library_change_misses_the_cache(monkeypatch):
     assert cache.misses == 2 and cache.hits == 0
     assert second is not first
     assert second.netlist.library.name == "generic45ish"
+    named = PassManager.parse(
+        "elaborate,optimize,map{library=generic45ish},size"
+    ).compile(build_rom_module())
+    assert same_netlist(second.netlist, named.netlist)
 
 
 def test_registered_library_edit_invalidates_fingerprints(monkeypatch):
@@ -203,7 +207,7 @@ def test_memory_cache_hit_returns_same_context():
     assert cache.memory_hits == 1 and cache.misses == 1 and cache.stores == 1
 
 
-def test_cache_invalidates_on_param_seed_and_module_change():
+def test_cache_invalidates_on_param_library_and_module_change():
     cache = CompileCache()
     pipeline = full_pipeline()
     pipeline.compile(build_rom_module(), cache=cache)
@@ -211,8 +215,10 @@ def test_cache_invalidates_on_param_seed_and_module_change():
     PassManager.parse("elaborate,optimize,map,size{clock_period_ns=2.0}").compile(
         build_rom_module(), cache=cache
     )
-    # Different seed -> miss.
-    pipeline.compile(build_rom_module(), seed=99, cache=cache)
+    # Different library -> miss.
+    PassManager.parse("elaborate,optimize,map{library=lowpowerish},size").compile(
+        build_rom_module(), cache=cache
+    )
     # Edited module -> miss.
     pipeline.compile(build_rom_module(5), cache=cache)
     assert cache.hits == 0 and cache.misses == 4 and cache.stores == 4
@@ -295,37 +301,6 @@ def test_bad_memory_bound_rejected():
 # Fingerprint soundness guards.
 # ---------------------------------------------------------------------
 
-def test_modified_library_fingerprints_apart_despite_same_name():
-    from dataclasses import replace as dc_replace
-
-    stock = Library.tsmc90ish()
-    tweaked = Library.tsmc90ish()
-    inv = tweaked.cells["INV"]
-    tweaked.cells["INV"] = dc_replace(inv, area=inv.area * 2)
-    assert stock.name == tweaked.name
-    assert stock.canonical_hash() != tweaked.canonical_hash()
-    module = build_rom_module()
-    assert flow_fingerprint(
-        "elaborate,map", module=module, library=stock
-    ) != flow_fingerprint("elaborate,map", module=module, library=tweaked)
-
-
-def test_pinned_unregistered_library_has_no_spec_form():
-    from dataclasses import replace as dc_replace
-
-    from repro.flow.passes import TechMapPass
-
-    tweaked = Library.tsmc90ish()
-    inv = tweaked.cells["INV"]
-    tweaked.cells["INV"] = dc_replace(inv, area=inv.area * 2)
-    with pytest.raises(FlowError, match="no spec form"):
-        PassManager([TechMapPass(library=tweaked)]).spec()
-    # The stock library still renders by name.
-    assert TechMapPass(library=Library.tsmc90ish()).spec() == (
-        "map{library=tsmc90ish}"
-    )
-
-
 def test_custom_metric_fixed_point_has_no_spec_form():
     from repro.flow import until_converged
     from repro.flow.passes import RewritePass
@@ -349,7 +324,7 @@ def test_stats_dict_shape_and_counters(tmp_path):
     stats = cache.stats()
     assert stats["memory_hits"] == 1 and stats["misses"] == 1
     assert stats["hits"] == 1 and stats["stores"] == 1
-    assert stats["inflight"] == 0 and stats["memory_entries"] == 1
+    assert stats["memory_entries"] == 1
     assert stats["backend"]["kind"] == "local-dir"
     assert stats["backend"]["entries"] == 1
     assert cache.path == tmp_path / "cache"
@@ -395,11 +370,7 @@ def test_cache_is_thread_safe_under_concurrent_traffic(tmp_path):
                 )
                 hit = cache.get(key)
                 if hit is None:
-                    cache.inflight_begin()
-                    try:
-                        cache.put(key, contexts[scale])
-                    finally:
-                        cache.inflight_end()
+                    cache.put(key, contexts[scale])
                 else:
                     assert hit.area.total == contexts[scale].area.total
                     blob = cache.hit_bytes(key, hit)
@@ -419,7 +390,6 @@ def test_cache_is_thread_safe_under_concurrent_traffic(tmp_path):
         t.join()
     assert not errors
     stats = cache.stats()
-    assert stats["inflight"] == 0
     assert stats["hits"] + stats["misses"] == 8 * 20
     assert len(cache._memory) <= 4
 
@@ -546,7 +516,7 @@ def test_swept_cache_still_works(tmp_path):
     pipeline = PassManager.parse("elaborate,optimize")
     compile_many(
         [
-            CompileJob("optimize", pipeline, module=module),
+            CompileJob("optimize", pipeline.spec(), module=module),
             CompileJob("balance", "elaborate,balance", module=module),
         ],
         cache=cache,

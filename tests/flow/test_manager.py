@@ -363,9 +363,16 @@ def test_combinators_reject_nonpositive_round_counts():
 
 
 def test_manager_compile_seeds_annotations_and_seed():
-    ctx = PassManager().compile(build_case_fsm(), seed=7)
-    assert ctx.seed == 7
-    assert ctx.annotations == []
+    """A compile seeds the context's annotations; the stateprop seed
+    is a constant of its pass, not context state."""
+    from repro.flow.passes import STATEPROP_SEED
+    from repro.synth.dc_options import StateAnnotation
+
+    annotation = StateAnnotation("state", (0, 1))
+    ctx = PassManager().compile(build_case_fsm(), annotations=(annotation,))
+    assert ctx.annotations == [annotation]
+    assert PassManager().compile(build_case_fsm()).annotations == []
+    assert not hasattr(ctx, "seed") and STATEPROP_SEED == 2011
 
 
 def test_conditional_spec_of_composites():
@@ -378,12 +385,41 @@ def test_map_pass_library_is_fingerprinted_and_parseable():
     from repro.tech.cells import Library
 
     assert TechMapPass().spec() == "map"
-    pinned = TechMapPass(library=Library.tsmc90ish())
-    assert pinned.spec() == "map{library=tsmc90ish}"
-    [reparsed] = PassManager.parse(pinned.spec()).passes
-    assert reparsed.library.name == "tsmc90ish"
+    named = TechMapPass(library="tsmc90ish")
+    assert named.spec() == "map{library=tsmc90ish}"
+    [reparsed] = PassManager.parse(named.spec()).passes
+    assert reparsed.options["library"] == "tsmc90ish"
     with pytest.raises(FlowError, match=r"\[CHK104\].*'bogus'"):
         PassManager.parse("map{library=bogus}")
+    # A library is chosen by its registered name only.
+    with pytest.raises(FlowError, match=r"\[CHK103\]"):
+        TechMapPass(library=Library.tsmc90ish())
+
+
+def test_no_library_is_built_outside_map_run(monkeypatch):
+    """Parsing, rendering and checking a spec build no cell library;
+    the ``map`` pass builds the one it names when it runs."""
+    from repro.check.spec import check_spec
+    from repro.flow import passes
+    from repro.flow.manager import prefix_specs_of
+
+    built = []
+    for name, factory in list(passes.LIBRARY_FACTORIES.items()):
+
+        def counting(name=name, factory=factory):
+            built.append(name)
+            return factory()
+
+        monkeypatch.setitem(passes.LIBRARY_FACTORIES, name, counting)
+    spec = "elaborate,map{library=generic45ish}"
+    pipeline = PassManager.parse(spec)
+    assert pipeline.spec() == spec
+    assert prefix_specs_of(spec)[-1] == spec
+    assert check_spec(spec, input_stage="rtl") == []
+    assert built == []
+    ctx = pipeline.compile(build_case_fsm())
+    assert built == ["generic45ish"]
+    assert ctx.netlist.library.name == "generic45ish"
 
 
 def test_run_default_flow_honours_options_annotations():

@@ -114,6 +114,34 @@ def test_a_schema_whose_default_fails_its_own_option_is_refused():
     assert "bad_default_probe" not in registered_pass_names()
 
 
+def test_a_registered_pass_takes_its_stage_from_its_schema():
+    """The schema is the one place a registered pass declares its
+    stage; a class registered without one keeps its own."""
+    from repro.flow.core import PASS_REGISTRY
+
+    try:
+
+        @register_pass("stage_probe", PassSchema(stage="rtl"))
+        class StageProbe(Pass):
+            def run(self, ctx):
+                pass
+
+        @register_pass("bare_probe")
+        class BareProbe(Pass):
+            stage = "netlist"
+
+            def run(self, ctx):
+                pass
+
+        assert StageProbe.stage == "rtl" and StageProbe().stage == "rtl"
+        assert BareProbe.stage == "netlist"
+        assert PASS_SCHEMAS["bare_probe"].stage == "netlist"
+    finally:
+        for name in ("stage_probe", "bare_probe"):
+            PASS_REGISTRY.pop(name, None)
+            PASS_SCHEMAS.pop(name, None)
+
+
 def test_passes_take_options_by_keyword_only():
     from repro.flow.passes import OptimizeLoop, SizePass
 

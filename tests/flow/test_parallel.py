@@ -7,10 +7,9 @@ from repro.flow import (
     CompileJob,
     CompileJobError,
     FlowError,
-    PassManager,
     compile_many,
 )
-from repro.flow.core import Pass
+from repro.flow.core import PASS_REGISTRY, PASS_SCHEMAS, Pass, register_pass
 from repro.rtl.ast import Const
 from repro.rtl.builder import ModuleBuilder, mux
 from repro.synth.dc_options import StateAnnotation
@@ -25,9 +24,10 @@ def build_rom_module(scale=3, name="m"):
 
 
 def sample_jobs():
-    pipeline = PassManager.parse("elaborate,optimize,map,size")
     return [
-        CompileJob(scale, pipeline, module=build_rom_module(scale), seed=7)
+        CompileJob(
+            scale, "elaborate,optimize,map,size", module=build_rom_module(scale)
+        )
         for scale in (3, 5, 7, 11)
     ]
 
@@ -71,6 +71,8 @@ def test_string_pipelines_parse_in_the_worker():
 
 
 def test_annotations_and_seed_travel_with_the_job():
+    """The annotations ride on the job and the stateprop seed on its
+    pass (a constant), so a worker folds exactly as the parent does."""
     # A 3-state case FSM annotated with its reachable set {0, 1, 2}.
     b = ModuleBuilder("fsm")
     go = b.input("go")
@@ -92,9 +94,8 @@ def test_annotations_and_seed_travel_with_the_job():
         "annotated", spec,
         module=module,
         annotations=(StateAnnotation("state", (0, 1, 2)),),
-        seed=13,
     )
-    plain = CompileJob("plain", spec, module=module, seed=13)
+    plain = CompileJob("plain", spec, module=module)
     serial = compile_many([annotated, plain], workers=1)
     parallel = compile_many([annotated, plain], workers=2)
     assert (
@@ -103,11 +104,39 @@ def test_annotations_and_seed_travel_with_the_job():
     assert parallel["plain"].area.total == serial["plain"].area.total
 
 
+def test_every_job_field_but_the_key_is_fingerprinted():
+    """A job is its design plus one spec: every field but ``key``
+    enters its fingerprint, so nothing steers a compile unseen."""
+    import dataclasses
+    import random
+
+    from repro.flow.parallel import _job_prefix_fingerprints
+    from repro.tables.truthtable import TruthTable
+
+    fields = {field.name for field in dataclasses.fields(CompileJob)}
+    assert fields == {
+        "key", "pipeline", "ctrl", "module", "annotations", "bindings",
+    }
+    base = CompileJob("k", "elaborate,optimize", module=build_rom_module())
+    changes = {
+        "key": "other",
+        "ctrl": TruthTable.random(2, 2, random.Random(0)),
+        "module": build_rom_module(5),
+        "annotations": (StateAnnotation("state", (0, 1)),),
+        "bindings": {"cfg": [1]},
+    }
+    assert set(changes) == fields - {"pipeline"}
+    fingerprint = _job_prefix_fingerprints(base)[-1]
+    for name, value in changes.items():
+        changed = dataclasses.replace(base, **{name: value})
+        same = _job_prefix_fingerprints(changed)[-1] == fingerprint
+        assert same == (name == "key"), name
+
+
 def test_duplicate_keys_rejected():
-    pipeline = PassManager.parse("elaborate")
     jobs = [
-        CompileJob("same", pipeline, module=build_rom_module()),
-        CompileJob("same", pipeline, module=build_rom_module(5)),
+        CompileJob("same", "elaborate", module=build_rom_module()),
+        CompileJob("same", "elaborate", module=build_rom_module(5)),
     ]
     with pytest.raises(FlowError, match="duplicate compile job key"):
         compile_many(jobs)
@@ -149,13 +178,20 @@ class ExplodingPass(Pass):
         raise RuntimeError("boom")
 
 
-def test_serial_failure_carries_log_context():
-    bad = PassManager(
-        PassManager.parse("elaborate").passes + [ExplodingPass()]
-    )
+@pytest.fixture
+def explode():
+    """``explode`` registered for the test, so a job's spec can name
+    it (pool workers fork with the registry as it stands)."""
+    register_pass("explode")(ExplodingPass)
+    yield "elaborate,explode"
+    PASS_REGISTRY.pop("explode", None)
+    PASS_SCHEMAS.pop("explode", None)
+
+
+def test_serial_failure_carries_log_context(explode):
     with pytest.raises(CompileJobError) as err:
         compile_many(
-            [CompileJob("broken", bad, module=build_rom_module())],
+            [CompileJob("broken", explode, module=build_rom_module())],
             workers=1,
         )
     assert err.value.key == "broken"
@@ -166,15 +202,12 @@ def test_serial_failure_carries_log_context():
     assert err.value.records[-1].failed
 
 
-def test_parallel_failure_is_deterministic_and_keeps_context():
-    bad = PassManager(
-        PassManager.parse("elaborate").passes + [ExplodingPass()]
-    )
-    good = PassManager.parse("elaborate,optimize,map,size")
+def test_parallel_failure_is_deterministic_and_keeps_context(explode):
+    good = "elaborate,optimize,map,size"
     jobs = [
         CompileJob("a", good, module=build_rom_module(3)),
-        CompileJob("first-broken", bad, module=build_rom_module(5)),
-        CompileJob("second-broken", bad, module=build_rom_module(7)),
+        CompileJob("first-broken", explode, module=build_rom_module(5)),
+        CompileJob("second-broken", explode, module=build_rom_module(7)),
     ]
     with pytest.raises(CompileJobError) as err:
         compile_many(jobs, workers=2)

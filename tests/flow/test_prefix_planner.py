@@ -113,7 +113,7 @@ def shared_prefix_jobs():
             "elaborate,optimize,resub,map,size{clock_period_ns=10.0}",
     }
     return [
-        CompileJob(key, spec, module=module, seed=7)
+        CompileJob(key, spec, module=module)
         for key, spec in specs.items()
     ]
 

@@ -47,10 +47,10 @@ def test_prefix_fingerprints_equal_standalone_fingerprints():
     the k-pass pipeline -- the identity cross-recipe sharing rests on."""
     pipeline = PassManager.parse(FULL_SPEC)
     module = build_rom_module()
-    fps = pipeline.prefix_fingerprints(module=module, seed=7)
+    fps = pipeline.prefix_fingerprints(module=module)
     assert len(fps) == len(pipeline.passes)
     for spec, fp in zip(pipeline.prefix_specs(), fps):
-        assert fp == flow_fingerprint(spec, module=module, seed=7)
+        assert fp == flow_fingerprint(spec, module=module)
 
 
 def test_prefix_fingerprints_diverge_only_from_the_edit_point():

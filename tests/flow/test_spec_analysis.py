@@ -68,16 +68,26 @@ def test_memo_follows_pass_registration_and_removal():
 
 
 def test_memo_sees_a_swapped_library_factory(monkeypatch):
+    """Swapping a registered library's factory drops the memo's entry;
+    the spec names the library, so it still renders the same."""
     spec = "elaborate,map{library=tsmc90ish}"
+    analysed = []
+    real_analyse = manager._analyse
+
+    def counting_analyse(text):
+        analysed.append(text)
+        return real_analyse(text)
+
+    monkeypatch.setattr(manager, "_analyse", counting_analyse)
     assert manager.prefix_specs_of(spec)[-1] == spec
-    # A factory that now builds another registered kit renders under
-    # that kit's name: the memo must not replay the old rendering.
+    analysed.clear()
+    assert manager.prefix_specs_of(spec)[-1] == spec
+    assert analysed == []  # served from the memo
     monkeypatch.setitem(
         passes.LIBRARY_FACTORIES, "tsmc90ish", Library.generic45ish
     )
-    fresh = PassManager.parse(spec).spec()
-    assert fresh == "elaborate,map{library=generic45ish}"
-    assert manager.prefix_specs_of(spec)[-1] == fresh
+    assert manager.prefix_specs_of(spec)[-1] == spec
+    assert analysed == [spec]  # the entry was dropped and recomputed
 
 
 def memo_and_fresh(spec, **kwargs):

@@ -9,20 +9,24 @@ to differ.  This is the correctness bar the whole
 incremental-compilation layer rests on.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flow import CompileCache, CompileJob, PassManager, compile_many
-from tests.helpers import build_table_aig, frontend_inputs
+from repro.tables.truthtable import TruthTable
+from tests.helpers import frontend_inputs
 
-#: (name, spec, input kwargs) -- an AIG-stage pipeline covering all
-#: four optimization passes, plus frontend lowerings entering at the
-#: ctrl stage, so resume is exercised across every stage boundary.
+#: (name, spec, input kwargs) -- a pipeline running all four AIG
+#: optimization passes, plus frontend lowerings, every one entering at
+#: the ctrl stage (a job's design is a controller IR or RTL), so
+#: resume is exercised across every stage boundary.
 PIPELINES = [
     (
         "aig",
-        "balance,rewrite,resub,dc_rewrite",
-        lambda: {"aig": build_table_aig(6, 8, seed=3)},
+        "table_rom,elaborate,balance,rewrite,resub,dc_rewrite",
+        lambda: {"ctrl": TruthTable.random(6, 8, random.Random(3))},
     ),
     (
         "fsm",
@@ -65,7 +69,7 @@ def test_resume_equals_from_scratch(tmp_path_factory, name, split):
     spec, make_inputs = _BY_NAME[name]
     pipeline = PassManager.parse(spec)
     split = 1 + split % (len(pipeline.passes) - 1)  # a *proper* prefix
-    prefix = PassManager.parse(pipeline.prefix_specs()[split - 1])
+    prefix = pipeline.prefix_specs()[split - 1]
     inputs = make_inputs()
 
     scratch = PassManager.parse(spec).compile(**make_inputs())

@@ -187,7 +187,7 @@ def test_server_batch_resumes_shared_prefix(server):
         "slow": "elaborate,optimize,map,size{clock_period_ns=40.0}",
     }
     jobs = [
-        CompileJob(key, spec, module=module, seed=7)
+        CompileJob(key, spec, module=module)
         for key, spec in specs.items()
     ]
     results = ServeClient(server.url).compile(jobs)
@@ -197,7 +197,7 @@ def test_server_batch_resumes_shared_prefix(server):
     assert stats["compiles"] == 2
     assert stats["prefix_resumes"] >= 1
     for key, spec in specs.items():
-        local = PassManager.parse(spec).compile(module=module, seed=7)
+        local = PassManager.parse(spec).compile(module=module)
         assert record_signature(results[key]) == record_signature(local)
         assert results[key].area.total == local.area.total
 

@@ -16,7 +16,6 @@ from repro.serve.protocol import (
 )
 from repro.rtl.builder import ModuleBuilder
 from repro.synth.dc_options import StateAnnotation
-from repro.tech.cells import Library
 
 
 def build_module(scale=3):
@@ -30,11 +29,10 @@ def build_module(scale=3):
 def sample_job(key=("design", "recipe")):
     return CompileJob(
         key,
-        "elaborate,optimize,map,size",
+        "elaborate,optimize,map{library=generic45ish},size",
         module=build_module(),
         annotations=(StateAnnotation("state", (0, 1)),),
-        library=Library.generic45ish(),
-        seed=13,
+        bindings={"cfg": [1, 2, 3]},
     )
 
 
@@ -44,10 +42,10 @@ def test_job_round_trip_preserves_everything_but_the_key():
     assert index == 7
     assert back.key == 7  # wire jobs are keyed positionally
     assert back.pipeline == PassManager.parse(job.pipeline).spec()
+    assert back.ctrl is None
     assert back.module.canonical_hash() == job.module.canonical_hash()
     assert back.annotations == job.annotations
-    assert back.library.canonical_hash() == job.library.canonical_hash()
-    assert back.seed == 13
+    assert back.bindings == job.bindings
 
 
 def test_envelope_is_json_safe_and_readable():
@@ -55,19 +53,24 @@ def test_envelope_is_json_safe_and_readable():
 
     envelope = encode_job(sample_job(), 0)
     json.dumps(envelope)  # no bytes, no objects
-    assert envelope["pipeline"].startswith("elaborate")
-    assert envelope["library"] == "generic45ish"
-    assert envelope["seed"] == 13
+    assert sorted(envelope) == ["bindings", "id", "payload", "pipeline"]
+    # The library travels where it is chosen: in the spec.
+    assert envelope["pipeline"] == (
+        "elaborate,optimize,map{library=generic45ish},size"
+    )
+    assert envelope["bindings"] == {"cfg": [1, 2, 3]}
 
 
-def test_pipeline_objects_travel_as_rendered_specs():
+def test_specs_travel_in_canonical_form():
     job = CompileJob(
         0,
-        PassManager.parse("elaborate,optimize,map,size{clock_period_ns=2.0}"),
+        "elaborate, optimize,map,size{clock_period_ns=2.0}",
         module=build_module(),
     )
     envelope = encode_job(job, 0)
-    assert "clock_period_ns=2.0" in envelope["pipeline"]
+    assert envelope["pipeline"] == (
+        "elaborate,optimize,map,size{clock_period_ns=2.0}"
+    )
 
 
 def test_batch_round_trip_and_validation():
@@ -88,6 +91,14 @@ def test_batch_round_trip_and_validation():
     }
     with pytest.raises(ProtocolError, match="batch indices"):
         decode_batch(shuffled)
+
+
+def test_version_1_clients_are_refused():
+    """A version-1 client may send a ``library`` or ``seed``; it is
+    refused, never compiled with the default library and seed."""
+    envelope = {**encode_job(sample_job(), 0), "seed": 13, "library": None}
+    with pytest.raises(ProtocolError, match=r"protocol version 1 != 2"):
+        decode_batch({"version": 1, "jobs": [envelope]})
 
 
 def test_malformed_job_and_payload_rejected():

@@ -37,11 +37,12 @@ def build_rom_module(scale=3, name="m"):
     return b.build()
 
 
-def sample_jobs(seed=7):
+def sample_jobs(name="m"):
+    """Four jobs; another ``name`` gives four other fingerprints."""
     return [
         CompileJob(
             ("rom", scale), "elaborate,optimize,map,size",
-            module=build_rom_module(scale), seed=seed,
+            module=build_rom_module(scale, name=name),
         )
         for scale in (3, 5, 7, 11)
     ]
@@ -73,7 +74,7 @@ def client(server):
 def test_health_and_stats_endpoints(server, client):
     assert client.healthy()
     stats = client.stats()
-    assert stats["protocol_version"] == 1
+    assert stats["protocol_version"] == 2
     assert stats["workers"] == 2
     assert {"requests", "jobs", "compiles", "job_errors"} <= set(stats)
     assert stats["cache"]["backend"]["kind"] == "local-dir"
@@ -112,7 +113,7 @@ def test_concurrent_identical_jobs_compile_exactly_once(server):
     -- exactly one compile happens and everyone gets identical bytes."""
     job = CompileJob(
         "dedup", "elaborate,optimize,map,size",
-        module=build_rom_module(13, name="dedup"), seed=99,
+        module=build_rom_module(13, name="dedup"),
     )
     clients = 6
     barrier = threading.Barrier(clients)
@@ -159,8 +160,8 @@ def test_job_failures_come_back_as_results_with_context(server, client):
 
 
 def test_compile_many_server_path_matches_local(server):
-    local = compile_many(sample_jobs(seed=23), workers=1)
-    via_server = compile_many(sample_jobs(seed=23), server=server.url)
+    local = compile_many(sample_jobs("m23"), workers=1)
+    via_server = compile_many(sample_jobs("m23"), server=server.url)
     for key in local:
         assert via_server[key].area.total == local[key].area.total
         assert record_signature(via_server[key]) == record_signature(
@@ -171,10 +172,10 @@ def test_compile_many_server_path_matches_local(server):
 def test_compile_many_local_cache_fronts_the_server(server):
     cache = CompileCache()
     jobs_before = ServeClient(server.url).stats()["jobs"]
-    first = compile_many(sample_jobs(seed=31), server=server.url, cache=cache)
+    first = compile_many(sample_jobs("m31"), server=server.url, cache=cache)
     assert ServeClient(server.url).stats()["jobs"] == jobs_before + 4
     # Warm local cache: the second run never touches the network.
-    second = compile_many(sample_jobs(seed=31), server=server.url, cache=cache)
+    second = compile_many(sample_jobs("m31"), server=server.url, cache=cache)
     assert ServeClient(server.url).stats()["jobs"] == jobs_before + 4
     assert cache.memory_hits == 4
     for key in first:
@@ -233,15 +234,15 @@ def test_cache_uploads_are_refused(server, client):
     to its own netlist."""
     spec = "elaborate,optimize,map,size"
     job_a = CompileJob(
-        "a", spec, module=build_rom_module(17, name="upload_a"), seed=41
+        "a", spec, module=build_rom_module(17, name="upload_a")
     )
     job_b = CompileJob(
-        "b", spec, module=build_rom_module(19, name="upload_b"), seed=41
+        "b", spec, module=build_rom_module(19, name="upload_b")
     )
     local = compile_many([job_a, job_b], workers=1)
     assert local["a"].area.total != local["b"].area.total
     fp_b = flow_fingerprint(
-        PassManager.parse(spec).spec(), module=job_b.module, seed=41
+        PassManager.parse(spec).spec(), module=job_b.module
     )
     planted = pickle.dumps(local["a"])
     for url in (

@@ -33,7 +33,7 @@ def rom_job(scale=3):
 
 def fingerprint_of(job):
     return flow_fingerprint(
-        PassManager.parse(SPEC).spec(), module=job.module, seed=job.seed
+        PassManager.parse(SPEC).spec(), module=job.module
     )
 
 

@@ -114,27 +114,6 @@ def test_default_library_factory_is_resolvable():
         cells.DEFAULT_LIBRARY_FACTORY = original
 
 
-def test_default_library_hash_memo_tracks_the_factory():
-    from repro.tech import cells
-
-    original = cells.DEFAULT_LIBRARY_FACTORY
-    try:
-        assert (
-            cells.default_library_hash()
-            == Library.tsmc90ish().canonical_hash()
-        )
-        cells.DEFAULT_LIBRARY_FACTORY = Library.generic45ish
-        assert (
-            cells.default_library_hash()
-            == Library.generic45ish().canonical_hash()
-        )
-    finally:
-        cells.DEFAULT_LIBRARY_FACTORY = original
-    assert (
-        cells.default_library_hash() == Library.tsmc90ish().canonical_hash()
-    )
-
-
 def test_library_validation():
     inv = Cell("INV", 1, 0b01, 1.0, 0.01, 0.01)
     flops = [
