@@ -12,9 +12,9 @@ Four analyzer families report through one
   targets, combinational loops, multiple drivers);
 * :mod:`repro.check.locks` enforces ``# guarded-by:`` lock
   annotations over the serve stack and the compile cache;
-* :mod:`repro.check.dataflow` runs abstract-interpretation analyses
-  (worklist fixpoints over pluggable lattices) proving reachability,
-  constants, and dead logic -- the CHK7xx family.
+* :mod:`repro.check.dataflow` runs dataflow analyses (worklist
+  reachability walks) finding unreachable states, constant fields,
+  and dead logic -- the CHK7xx family.
 
 ``python -m repro.check`` is the CLI; ``PassManager.compile`` and the
 compile server's ``POST /compile`` run the spec typechecker up front,
@@ -29,7 +29,6 @@ from repro.check.dataflow import (
     analyze_microcode,
     analyze_netlist,
     fsm_reachable_states,
-    solve,
 )
 from repro.check.diagnostics import (
     CODES,
@@ -77,5 +76,4 @@ __all__ = [
     "lint_program",
     "lint_transitions",
     "render",
-    "solve",
 ]

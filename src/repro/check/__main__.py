@@ -7,7 +7,7 @@ Subcommands::
     specs            lint every shipped spec: the figure drivers, the
                      Fig. 9 and techsweep jobs, and the default flow
     ir               lint the techsweep IR corpus (FSMs, truth tables)
-    dataflow         abstract-interpretation analyses over the IR
+    dataflow         dataflow analyses over the IR
                      corpus (reachability, constants, dead logic --
                      the CHK7xx family)
     registry         the pass registry with per-pass option schemas

@@ -1,8 +1,10 @@
-"""Abstract-interpretation dataflow engine over controller IRs.
+"""Dataflow analyses over controller IRs.
 
 The structural linters (:mod:`repro.check.irlint`) walk graphs; this
-module *interprets* them: a generic worklist fixpoint solver
-(:func:`solve`) over pluggable lattices, instantiated three ways:
+module asks what an IR can actually *do*: reachability under an input
+predicate, constants over reachable control words, and liveness from
+the outputs.  The graph walks share one worklist helper
+(:func:`reach`):
 
 * **predicate-aware FSM reachability** -- the FSM's own reachability
   walk over only the input words a predicate admits.  Stronger than
@@ -10,8 +12,7 @@ module *interprets* them: a generic worklist fixpoint solver
   no *allowed input* can reach is CHK701, and a cube-form transition
   guard no allowed input satisfies -- discharged via :mod:`repro.sat`
   -- is CHK702.
-* **constant/interval propagation over microcode** -- per-field
-  constant folding over the control words an
+* **constants over microcode** -- the control words an
   :class:`~repro.controllers.assembler.AssembledProgram` can reach
   (its own ``reachable_addresses`` walk): CHK703 (a BRANCH whose
   taken and fall-through targets coincide), CHK704 (a control field
@@ -19,7 +20,7 @@ module *interprets* them: a generic worklist fixpoint solver
   table wired to a sequencer that never dispatches).
 * **liveness on AIGs and mapped netlists** -- the CHK402/CHK503 walks
   root at *all* outputs including every latch next; the liveness
-  fixpoint here roots at primary outputs only and adds a latch's next
+  walk here roots at primary outputs only and adds a latch's next
   cone when (and only when) its output is observed, so self-sustaining
   but output-independent cones are found: CHK706.
 
@@ -37,148 +38,19 @@ from repro.check.diagnostics import Diagnostic
 from repro.check.irlint import _cube_matches
 
 
-# ---------------------------------------------------------------------
-# The solver
-# ---------------------------------------------------------------------
-class Lattice:
-    """A join-semilattice: the value domain of one analysis.
-
-    Subclasses provide ``bottom``/``top`` elements and the
-    ``join``/``leq`` operations; :func:`solve` only ever calls these
-    four, so any domain with a finite ascending-chain height plugs in.
-    """
-
-    def bottom(self):
-        raise NotImplementedError
-
-    def top(self):
-        raise NotImplementedError
-
-    def join(self, a, b):
-        raise NotImplementedError
-
-    def leq(self, a, b) -> bool:
-        raise NotImplementedError
-
-
-class BoolLattice(Lattice):
-    """Reachability: ``False`` (bottom, unreachable) below ``True``."""
-
-    def bottom(self):
-        return False
-
-    def top(self):
-        return True
-
-    def join(self, a, b):
-        return a or b
-
-    def leq(self, a, b) -> bool:
-        return (not a) or b
-
-
-#: Bottom/top sentinels of :class:`ConstLattice` (``repr``-stable so
-#: they can appear in messages).
-CONST_BOTTOM = "<bottom>"
-CONST_TOP = "<top>"
-
-
-class ConstLattice(Lattice):
-    """Constant propagation: bottom below every concrete value below
-    top; two distinct values join to top."""
-
-    def bottom(self):
-        return CONST_BOTTOM
-
-    def top(self):
-        return CONST_TOP
-
-    def join(self, a, b):
-        if a == CONST_BOTTOM:
-            return b
-        if b == CONST_BOTTOM:
-            return a
-        if a == b:
-            return a
-        return CONST_TOP
-
-    def leq(self, a, b) -> bool:
-        return a == CONST_BOTTOM or b == CONST_TOP or a == b
-
-
-class IntervalLattice(Lattice):
-    """Integer intervals ``(lo, hi)``; ``None`` is bottom.  ``width``
-    bounds the domain, making top ``(0, 2**width - 1)`` and chains
-    finite without widening."""
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-
-    def bottom(self):
-        return None
-
-    def top(self):
-        return (0, (1 << self.width) - 1)
-
-    def join(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return (min(a[0], b[0]), max(a[1], b[1]))
-
-    def leq(self, a, b) -> bool:
-        if a is None:
-            return True
-        if b is None:
-            return False
-        return b[0] <= a[0] and a[1] <= b[1]
-
-
-#: An edge transfer function: input fact in, output fact out.
-TransferFunction = Callable[[object], object]
-
-
-def solve(
-    successors: "Callable[[object], Iterable]",
-    entries: dict,
-    lattice: Lattice,
-) -> dict:
-    """Worklist fixpoint: propagate ``entries`` facts forward until
-    stable.
-
-    Args:
-        successors: ``node -> iterable of (succ, transfer)`` where
-            ``transfer`` is a :data:`TransferFunction` or ``None``
-            (identity).  Nodes never yielded and never seeded stay at
-            bottom (absent from the result).
-        entries: seed facts, ``{node: fact}``.
-        lattice: the value domain.
-
-    Returns:
-        ``{node: fact}`` at the least fixpoint over all nodes reached.
-    """
-    facts = dict(entries)
-    worklist = deque(entries)
+def reach(
+    roots: Iterable, successors: "Callable[[object], Iterable]"
+) -> set:
+    """Every node reachable from ``roots`` along ``successors``, the
+    roots included: a worklist walk to its fixpoint, so cycles end."""
+    seen = set(roots)
+    worklist = deque(seen)
     while worklist:
-        node = worklist.popleft()
-        fact = facts[node]
-        for succ, transfer in successors(node):
-            out = fact if transfer is None else transfer(fact)
-            old = facts.get(succ)
-            new = out if old is None else lattice.join(old, out)
-            if old is None or not lattice.leq(new, old):
-                facts[succ] = new
+        for succ in successors(worklist.popleft()):
+            if succ not in seen:
+                seen.add(succ)
                 worklist.append(succ)
-    return facts
-
-
-def fold(lattice: Lattice, values: Iterable):
-    """Join an iterable of facts (bottom when empty)."""
-    result = lattice.bottom()
-    for value in values:
-        result = lattice.join(result, value)
-    return result
+    return seen
 
 
 # ---------------------------------------------------------------------
@@ -329,12 +201,10 @@ def analyze_guards(
 
     edges: dict[int, list] = {}
     for state, _, target in satisfiable:
-        edges.setdefault(state, []).append((target, None))
-    facts = solve(
-        lambda node: edges.get(node, []), {reset_state: True}, BoolLattice()
-    )
+        edges.setdefault(state, []).append(target)
+    live = reach([reset_state], lambda node: edges.get(node, []))
     for state in range(num_states):
-        if facts.get(state):
+        if state in live:
             continue
         diagnostics.append(
             Diagnostic(
@@ -350,12 +220,13 @@ def analyze_guards(
 
 
 # ---------------------------------------------------------------------
-# Microcode constant propagation
+# Microcode constants
 # ---------------------------------------------------------------------
 def analyze_microcode(
     program, entry_labels=None, opcodes=None
 ) -> "list[Diagnostic]":
-    """Constant/interval propagation over an ``AssembledProgram``.
+    """Constants over the reachable control words of an
+    ``AssembledProgram``.
 
     * CHK703 -- a reachable BRANCH whose taken target equals its
       fall-through: the condition is read but cannot matter.
@@ -391,19 +262,16 @@ def analyze_microcode(
             )
 
     if len(reachable) >= 2:
-        lattice = ConstLattice()
         for field in program.format.fields:
-            value = fold(
-                lattice,
-                (
-                    program.format.unpack(program.control_words[addr])[
-                        field.name
-                    ]
-                    for addr in reachable
-                ),
-            )
-            if value in (CONST_BOTTOM, CONST_TOP):
+            values = {
+                program.format.unpack(program.control_words[addr])[
+                    field.name
+                ]
+                for addr in reachable
+            }
+            if len(values) != 1:
                 continue
+            [value] = values
             diagnostics.append(
                 Diagnostic(
                     "CHK704",
@@ -440,7 +308,7 @@ def analyze_microcode(
 def aig_live_nodes(aig) -> "set[int]":
     """Nodes that can influence a primary output.
 
-    The liveness fixpoint: primary-output cones are live, and a
+    The liveness walk: primary-output cones are live, and a
     latch's next-state cone is live iff the latch's *output* is --
     which is exactly where this beats the CHK402 walk (that one roots
     at every latch next unconditionally, so a latch feeding only
@@ -450,22 +318,20 @@ def aig_live_nodes(aig) -> "set[int]":
     def successors(node):
         succ = []
         if aig.is_and(node):
-            succ.extend((fanin >> 1, None) for fanin in aig.fanins(node))
+            succ.extend(fanin >> 1 for fanin in aig.fanins(node))
         latch = latch_by_node.get(node)
         if latch is not None:
-            succ.append((latch.next_lit >> 1, None))
+            succ.append(latch.next_lit >> 1)
         return succ
 
-    entries = {lit >> 1: True for _, lit in aig.pos}
-    facts = solve(successors, entries, BoolLattice())
-    return {node for node, fact in facts.items() if fact}
+    return reach((lit >> 1 for _, lit in aig.pos), successors)
 
 
 def analyze_aig(aig) -> "list[Diagnostic]":
     """CHK706: logic cones no primary output depends on.
 
     Reports AND nodes and latches outside every primary-output cone
-    under the liveness fixpoint of :func:`aig_live_nodes` -- strictly
+    under the liveness walk of :func:`aig_live_nodes` -- strictly
     stronger than CHK402's dangling-node walk, which keeps any cone a
     latch next references even when the latch itself is unobservable.
     """
@@ -515,15 +381,13 @@ def analyze_netlist(netlist) -> "list[Diagnostic]":
         succ = []
         inst = producer.get(net)
         if inst is not None:
-            succ.extend((source, None) for source in inst.inputs)
+            succ.extend(inst.inputs)
         flop = flop_by_q.get(net)
         if flop is not None:
-            succ.append((flop.d_net, None))
+            succ.append(flop.d_net)
         return succ
 
-    entries = {net: True for net in netlist.po_nets.values()}
-    facts = solve(successors, entries, BoolLattice())
-    live = {net for net, fact in facts.items() if fact}
+    live = reach(netlist.po_nets.values(), successors)
 
     dead_instances = [
         index

@@ -69,11 +69,9 @@ Compiles are cacheable and parallelizable::
 from repro.flow.cache import (
     CompileCache,
     LocalDirBackend,
-    StageSnapshot,
     SweepStats,
     fingerprint_prefixes,
     flow_fingerprint,
-    snapshot_key,
 )
 from repro.flow.combinators import (
     Conditional,
@@ -128,7 +126,6 @@ __all__ = [
     "PassManager",
     "PassRecord",
     "Repeat",
-    "StageSnapshot",
     "SweepStats",
     "WhileProgress",
     "compile_many",
@@ -143,7 +140,6 @@ __all__ = [
     "register_pass",
     "registered_pass_names",
     "render_log",
-    "snapshot_key",
     "run_default_flow",
     "until_converged",
 ]

@@ -38,11 +38,12 @@ at most once per entry -- so a warm compile server answers from bytes.
 results and their pickles.
 
 Beside completed entries the cache keeps *stage snapshots*: the
-context after a pipeline prefix, keyed by that prefix's fingerprint
-(:func:`fingerprint_prefixes`).  One rule decides where they are
-written: a compile snapshots the boundary after pass ``k`` exactly
-when another job of the same batch has the same prefix fingerprint
-there (:func:`repro.flow.parallel._plan_waves`, used by
+plain context after a pipeline prefix, pickled under that prefix's
+fingerprint (:func:`fingerprint_prefixes`) in a namespace of its own
+(``snap/`` on disk, a separate LRU in memory).  One rule decides
+where they are written: a compile snapshots the boundary after pass
+``k`` exactly when another job of the same batch has the same prefix
+fingerprint there (:func:`repro.flow.parallel._plan_waves`, used by
 ``compile_many`` and by the compile server for every multi-job
 batch).  A lone compile writes none.  Snapshots are the only source
 a compile resumes from (:func:`repro.flow.manager.prepare_resume`).
@@ -91,16 +92,12 @@ if TYPE_CHECKING:
 #: Version 7: the ``library`` and ``seed`` chunks (and the context
 #: slots) left: a spec names its library, the library digest covers
 #: the default, and the stateprop seed is a constant of its pass.
+#:
+#: It versions stage snapshots too: a snapshot is a plain context kept
+#: under its prefix fingerprint, so a bump orphans every snapshot along
+#: with every entry (change it also when what a restored mid-pipeline
+#: context means changes).
 FINGERPRINT_VERSION = 7
-
-#: Bump whenever the stage-snapshot envelope or the meaning of a
-#: restored mid-pipeline context changes: snapshot keys are derived
-#: from this version, so a bump orphans (never mis-reads) old
-#: snapshots, and the envelope's own version field rejects skewed
-#: files that are still on disk.
-#: Version 2: the envelope dropped its write-only ``prefix_spec`` and
-#: ``passes_done`` fields.
-SNAPSHOT_VERSION = 2
 
 #: The two entry kinds the on-disk store keeps: completed compile
 #: results (the historical namespace) and mid-pipeline stage snapshots.
@@ -292,36 +289,6 @@ def fingerprint_prefixes(
     return [_spec_digest(spec, chunks) for spec in prefix_specs]
 
 
-def snapshot_key(prefix_fingerprint: str) -> str:
-    """The store key a stage snapshot is kept under.
-
-    Derived (not equal): hashing the prefix fingerprint with a
-    kind/version tag keeps snapshots out of the completed-entry
-    namespace, and makes a :data:`SNAPSHOT_VERSION` bump orphan old
-    snapshots instead of mis-reading them.
-    """
-    tag = f"stage-snapshot:{SNAPSHOT_VERSION}:{prefix_fingerprint}"
-    return hashlib.sha256(tag.encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class StageSnapshot:
-    """The versioned envelope a stage snapshot pickles as.
-
-    ``ctx`` is the mid-pipeline :class:`FlowContext` exactly as it
-    stood after the pipeline prefix whose fingerprint keys the
-    snapshot (:func:`snapshot_key`), so the key alone says how far
-    the context got.  Readers validate ``version`` (and the envelope
-    type itself) before trusting the payload; anything else --
-    including an old reader that has never heard of this class --
-    reads as a cache miss through the :data:`UNPICKLE_ERRORS`
-    tolerance.
-    """
-
-    version: int
-    ctx: FlowContext
-
-
 class LocalDirBackend:
     """The on-disk store: one atomically-written pickle file per
     fingerprint under a two-level fanout directory.
@@ -506,7 +473,7 @@ class CompileCache:
         self._lock = threading.Lock()
         #: Fingerprint -> (context, its pickle bytes or ``None``).
         self._memory: OrderedDict[str, tuple] = OrderedDict()  # guarded-by: _lock
-        #: The snapshot LRU stores pickled envelope *bytes*, never the
+        #: The snapshot LRU stores pickled context *bytes*, never the
         #: unpickled context: resuming mutates the restored context in
         #: place, so handing two resumes one shared object would let
         #: the first corrupt the second.  Every hit unpickles fresh.
@@ -609,25 +576,24 @@ class CompileCache:
 
         Every hit unpickles a *fresh* context -- the caller will
         mutate it by running the remaining passes, so snapshot hits
-        never share objects (unlike :meth:`get`).  Wrong-version or
-        non-snapshot blobs read as misses.
+        never share objects (unlike :meth:`get`).  A corrupt blob, or
+        one that is not a :class:`FlowContext`, reads as a miss.
         """
-        key = snapshot_key(prefix_fingerprint)
         with self._lock:
-            blob = self._snapshots.get(key)
+            blob = self._snapshots.get(prefix_fingerprint)
             if blob is not None:
-                self._snapshots.move_to_end(key)
+                self._snapshots.move_to_end(prefix_fingerprint)
         if blob is None and self.backend is not None:
-            blob = self.backend.load(key, kind=SNAPSHOT_KIND)
-        snapshot = None if blob is None else _loads_snapshot(blob)
-        if snapshot is None:
+            blob = self.backend.load(prefix_fingerprint, kind=SNAPSHOT_KIND)
+        ctx = None if blob is None else _loads(blob)
+        if ctx is None:
             with self._lock:
                 self.snapshot_misses += 1
             return None
-        self._put_snapshot_memory(key, blob)
+        self._put_snapshot_memory(prefix_fingerprint, blob)
         with self._lock:
             self.snapshot_hits += 1
-        return snapshot.ctx
+        return ctx
 
     def put_snapshot(
         self, prefix_fingerprint: str, ctx: "FlowContext"
@@ -638,11 +604,10 @@ class CompileCache:
         snapshot's identity from then on, immune to the caller
         continuing to mutate ``ctx``.
         """
-        blob = _dumps(StageSnapshot(version=SNAPSHOT_VERSION, ctx=ctx))
-        key = snapshot_key(prefix_fingerprint)
-        self._put_snapshot_memory(key, blob)
+        blob = _dumps(ctx)
+        self._put_snapshot_memory(prefix_fingerprint, blob)
         if self.backend is not None:
-            self.backend.store(key, blob, kind=SNAPSHOT_KIND)
+            self.backend.store(prefix_fingerprint, blob, kind=SNAPSHOT_KIND)
         with self._lock:
             self.snapshot_stores += 1
 
@@ -791,23 +756,8 @@ def _loads(blob: bytes) -> "FlowContext | None":
         # A truncated or stale entry is a miss, not an error.
         return None
     if not isinstance(loaded, FlowContext):
-        # A foreign pickle under an entry key (e.g. a snapshot envelope
-        # copied into the wrong file) is a miss, never a context.
-        return None
-    return loaded
-
-
-def _loads_snapshot(blob: bytes) -> "StageSnapshot | None":
-    try:
-        loaded = pickle.loads(blob)
-    except UNPICKLE_ERRORS:
-        return None
-    if (
-        not isinstance(loaded, StageSnapshot)
-        or loaded.version != SNAPSHOT_VERSION
-        or not isinstance(loaded.ctx, FlowContext)
-    ):
-        # Wrong envelope, skewed version, bogus payload: all misses.
+        # A foreign pickle under an entry or snapshot key is a miss,
+        # never a context.
         return None
     return loaded
 

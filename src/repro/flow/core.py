@@ -192,7 +192,7 @@ class PassRecord:
         return self.after.num_ands - self.before.num_ands
 
     def to_json(self) -> dict:
-        """A plain-JSON form of the record, suitable for the run store.
+        """A plain-JSON form of the record.
 
         Every field round-trips (including the ``skipped`` /
         ``rejected`` / ``failed`` flags); :meth:`from_json` is the

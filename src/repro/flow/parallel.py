@@ -97,6 +97,14 @@ class CompileJobError(FlowError):
         return (CompileJobError, (self.key, self.error, self.records))
 
 
+def _job_error(
+    job: CompileJob, exc: Exception, records: Sequence[PassRecord] = ()
+) -> CompileJobError:
+    """``exc``, raised while compiling ``job``, as the job's keyed
+    :class:`CompileJobError`."""
+    return CompileJobError(job.key, f"{type(exc).__name__}: {exc}", records)
+
+
 def _job_inputs(job: CompileJob) -> dict:
     """The keyword inputs of :meth:`PassManager.compile` a job carries."""
     return dict(
@@ -115,11 +123,15 @@ def _job_prefix_fingerprints(job: CompileJob) -> list[str]:
     before costs only the hashing of the job's inputs.
 
     Raises:
-        FlowError: the spec does not parse.
+        CompileJobError: the spec does not parse, or an input cannot
+            be fingerprinted.
     """
-    return fingerprint_prefixes(
-        prefix_specs_of(job.pipeline), **_job_inputs(job)
-    )
+    try:
+        return fingerprint_prefixes(
+            prefix_specs_of(job.pipeline), **_job_inputs(job)
+        )
+    except Exception as exc:
+        raise _job_error(job, exc) from exc
 
 
 def _execute_job(
@@ -137,7 +149,10 @@ def _execute_job(
     (:func:`_plan_waves`) marked as shared with another job.  No spec
     check runs here; the compile server runs its own on every job it
     serves."""
-    pipeline = PassManager.parse(job.pipeline)
+    try:
+        pipeline = PassManager.parse(job.pipeline)
+    except FlowError as exc:
+        raise _job_error(job, exc) from exc
     ctx, start = prepare_resume(
         pipeline,
         cache=cache,
@@ -156,9 +171,7 @@ def _execute_job(
     except CompileJobError:
         raise
     except Exception as exc:
-        raise CompileJobError(
-            job.key, f"{type(exc).__name__}: {exc}", ctx.records
-        ) from exc
+        raise _job_error(job, exc, ctx.records) from exc
     if cache is not None:
         cache.put(fingerprints[-1], ctx)
     return ctx
@@ -324,10 +337,11 @@ def compile_many(
     Raises:
         FlowError: duplicate job keys; transport failures against
             ``server`` (:class:`repro.serve.client.ServeError`).
-        CompileJobError: a job failed; the earliest failing job in
-            submission order raises (deterministic regardless of
-            worker scheduling), carrying its key and the pass records
-            accumulated up to the failure.
+        CompileJobError: a job failed, or its spec does not parse;
+            the earliest failing job in submission order raises
+            (deterministic regardless of worker scheduling), carrying
+            its key and the pass records accumulated up to the
+            failure.
     """
     jobs = list(jobs)
     seen_keys: set = set()

@@ -13,15 +13,15 @@ batch): a client's real job keys can be arbitrary hashables (the
 figure drivers use tuples), which JSON cannot carry faithfully, so
 the client keeps the key mapping and the server echoes indices.
 
-The response is NDJSON: one JSON object per job, written in
-*completion* order as the pool finishes them, each carrying the
-fingerprint, a cache-hit flag, a single-flight dedup flag, the
-server-side wall time, and either the completed context (base64
-pickle -- byte-identical to what a local compile would produce) or
-the error.  A hit's ``ctx`` is the base64 of the server cache entry's
-own pickle bytes (:meth:`~repro.flow.cache.CompileCache.hit_bytes`):
-a warm server pickles each entry at most once, however often it is
-served.
+The response is NDJSON: one JSON object per job, in submission order
+(the server runs a batch's jobs one after another and writes each
+line as its job finishes), each carrying the fingerprint, a cache-hit
+flag, a single-flight dedup flag, the server-side wall time, and
+either the completed context (base64 pickle -- byte-identical to what
+a local compile would produce) or the error.  A hit's ``ctx`` is the
+base64 of the server cache entry's own pickle bytes
+(:meth:`~repro.flow.cache.CompileCache.hit_bytes`): a warm server
+pickles each entry at most once, however often it is served.
 
 Trust model: pickles execute what their bytes describe.  The server
 deserializes job payloads and the client deserializes result
@@ -129,11 +129,16 @@ def decode_job(data: dict) -> tuple[int, CompileJob]:
     the client's real key.
 
     Raises:
-        ProtocolError: missing fields or an undecodable payload.
+        ProtocolError: missing fields, or a payload that does not
+            decode to a dict.
     """
     try:
         index = int(data["id"])
         payload = _unb64(data["payload"])
+        if not isinstance(payload, dict):
+            raise TypeError(
+                f"payload is a {type(payload).__name__}, not a dict"
+            )
         return index, CompileJob(
             key=index,
             pipeline=str(data["pipeline"]),

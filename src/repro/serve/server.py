@@ -9,8 +9,10 @@ CompileCache`, dedupes concurrent identical misses through
 :class:`~repro.serve.singleflight.SingleFlight` (N clients submitting
 the same fingerprint cost exactly one compile), executes the remainder
 on a bounded worker pool, and streams per-job results back as NDJSON
-in completion order -- each line carrying the fingerprint, cache-hit
-and dedup flags, and the server-side wall time.
+-- each line carrying the fingerprint, cache-hit and dedup flags, and
+the server-side wall time.  A batch runs as serial ``compile_many``
+runs its misses: one job after another, in submission order, each
+line written when its job finishes.
 
 Endpoints (stdlib :mod:`http.server`, one thread per connection,
 compiles bounded by the pool)::
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.flow.cache import CompileCache
@@ -44,6 +46,7 @@ from repro.flow.parallel import (
     CompileJob,
     CompileJobError,
     _execute_job,
+    _job_error,
     _job_prefix_fingerprints,
     _plan_waves,
 )
@@ -81,16 +84,15 @@ class CompileServer:
             result back from :attr:`url`.
         verbose: log one line per request to stdout.
 
-    Each multi-job ``POST /compile`` batch is planned as
-    ``compile_many`` plans its misses
-    (:func:`~repro.flow.parallel._plan_waves`): a job snapshots
+    Each multi-job ``POST /compile`` batch is planned and run as
+    serial ``compile_many`` plans and runs its misses: a job snapshots
     exactly the boundaries whose prefix fingerprint another job of
-    the batch shares, and advertises exactly those as
-    :class:`~repro.serve.singleflight.SingleFlight` prefix keys, so a
-    job that shares a prefix with an executing leader waits for it
-    and resumes from the snapshot it publishes
-    (``prefix_resumes`` in ``/stats``).  A single-job request
-    advertises nothing and writes no snapshot.
+    the batch shares (:func:`~repro.flow.parallel._plan_waves`), and
+    the jobs run one after another in submission order, so a job that
+    shares a prefix with an earlier one resumes from the snapshot the
+    earlier one left (``prefix_resumes`` in ``/stats``).  Each job is
+    still one pool task, so ``workers`` bounds the compiles of
+    concurrent requests.  A single-job request writes no snapshot.
     """
 
     def __init__(
@@ -203,8 +205,8 @@ class CompileServer:
 
     # -- the job path -------------------------------------------------
     def plan(self, jobs: "list[CompileJob]") -> "list[frozenset]":
-        """The boundaries each job of one batch snapshots and
-        advertises: :func:`~repro.flow.parallel._plan_waves`'s rule,
+        """The boundaries each job of one batch snapshots:
+        :func:`~repro.flow.parallel._plan_waves`'s rule,
         as ``compile_many`` applies it.  A single job shares nothing,
         and so is not fingerprinted here; a job whose pipeline cannot
         be fingerprinted shares nothing either (:meth:`run_job`
@@ -215,7 +217,7 @@ class CompileServer:
         for job in jobs:
             try:
                 prefix_lists.append(_job_prefix_fingerprints(job))
-            except Exception:
+            except CompileJobError:
                 prefix_lists.append([])
         _, forced = _plan_waves(prefix_lists)
         return [forced[i] for i in range(len(jobs))]
@@ -226,8 +228,7 @@ class CompileServer:
         """Serve one job: cache, then single-flight, then compile.
 
         ``snapshot_after`` is the job's share of its batch's
-        :meth:`plan`: the boundaries it snapshots if it compiles, and
-        whose prefix fingerprints it advertises as flight keys.
+        :meth:`plan`: the boundaries it snapshots if it compiles.
 
         A hit costs the spec check and the prefix specs from the
         process's spec analysis memo, the hashing of the job's inputs,
@@ -267,14 +268,9 @@ class CompileServer:
 
         try:
             prefix_fps = _job_prefix_fingerprints(job)
-        except Exception as exc:
+        except CompileJobError as exc:
             self._count("job_errors")
-            return done(
-                fingerprint="",
-                error=CompileJobError(
-                    index, f"{type(exc).__name__}: {exc}"
-                ),
-            )
+            return done(fingerprint="", error=exc)
         fingerprint = prefix_fps[-1]
 
         ctx = self.cache.get(fingerprint)
@@ -293,9 +289,9 @@ class CompileServer:
             if hit is not None:
                 return hit, True, False
             # The compile_many path on the server cache: resume from
-            # the deepest stage snapshot (a prefix leader's, or an
-            # earlier batch's), publish this job's planned snapshots
-            # and its completed entry.
+            # the deepest stage snapshot (an earlier job's of this
+            # batch, or an earlier batch's), publish this job's
+            # planned snapshots and its completed entry.
             fresh = _execute_job(job, self.cache, prefix_fps, snapshot_after)
             self._count("compiles")
             resumed = bool(fresh.meta.get("passes_skipped"))
@@ -304,24 +300,13 @@ class CompileServer:
             return fresh, False, resumed
 
         try:
-            outcome = self.flights.do(
-                fingerprint,
-                compute,
-                prefix_keys=tuple(
-                    prefix_fps[k] for k in sorted(snapshot_after)
-                ),
-            )
+            outcome = self.flights.do(fingerprint, compute)
         except CompileJobError as exc:
             self._count("job_errors")
             return done(fingerprint=fingerprint, error=exc)
         except Exception as exc:  # cache/backend I/O gone wrong
             self._count("job_errors")
-            return done(
-                fingerprint=fingerprint,
-                error=CompileJobError(
-                    index, f"{type(exc).__name__}: {exc}"
-                ),
-            )
+            return done(fingerprint=fingerprint, error=_job_error(job, exc))
         ctx, was_cached, _ = outcome.value
         return done(
             fingerprint=fingerprint,
@@ -406,20 +391,30 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
-        # One NDJSON line per job in *completion* order; the ids let
-        # the client reassemble.  HTTP/1.0 close-delimits the body, so
-        # lines stream to the client as they flush.
+        # One job at a time, in submission order, so a job resumes
+        # from the snapshots of the earlier jobs it shares a prefix
+        # with.  One NDJSON line per job as it finishes; HTTP/1.0
+        # close-delimits the body, so lines stream as they flush.
         plan = self.app.plan(jobs)
-        futures = {
-            self.app.pool.submit(self.app.run_job, job, i, plan[i]): i
-            for i, job in enumerate(jobs)
-        }
-        for future in as_completed(futures):
-            line = json.dumps(encode_result(future.result()))
+        writing = True
+        for i, job in enumerate(jobs):
+            try:
+                future = self.app.pool.submit(
+                    self.app.run_job, job, i, plan[i]
+                )
+            except RuntimeError:
+                # The server is closing and its pool takes no new job:
+                # the stream ends short, which the client reports.
+                return
+            result = future.result()
+            if not writing:
+                continue
+            line = json.dumps(encode_result(result))
             try:
                 self.wfile.write(line.encode("utf-8") + b"\n")
                 self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
-                # The client hung up mid-stream; remaining jobs still
-                # finish and warm the cache for whoever asks next.
-                break
+                # The client hung up mid-stream; the remaining jobs
+                # still compile and warm the cache for whoever asks
+                # next.
+                writing = False

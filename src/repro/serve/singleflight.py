@@ -66,7 +66,6 @@ class FlightStats:
     started: int = 0  # guarded-by: _lock
     deduped: int = 0  # guarded-by: _lock
     errors: int = 0  # guarded-by: _lock
-    prefix_waits: int = 0  # guarded-by: _lock
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def to_json(self) -> dict:
@@ -75,7 +74,6 @@ class FlightStats:
                 "started": self.started,
                 "deduped": self.deduped,
                 "errors": self.errors,
-                "prefix_waits": self.prefix_waits,
             }
 
 
@@ -90,13 +88,16 @@ class SingleFlight:
         if outcome.deduped: ...      # this caller rode a leader
 
     Thread-safe; ``fn`` runs outside the table lock, so flights of
-    *different* keys execute concurrently.
+    *different* keys execute concurrently and never wait on each
+    other.  Only equal keys share a flight: the compile server keys a
+    job by its whole fingerprint, and a batch shares its prefixes by
+    running in submission order instead (see
+    :class:`~repro.serve.server.CompileServer`).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._flights: dict[str, _Flight] = {}  # guarded-by: _lock
-        self._prefixes: dict[str, _Flight] = {}  # guarded-by: _lock
         self.stats = FlightStats()
 
     def inflight(self) -> int:
@@ -104,12 +105,7 @@ class SingleFlight:
         with self._lock:
             return len(self._flights)
 
-    def do(
-        self,
-        key: str,
-        fn: Callable[[], T],
-        prefix_keys: "tuple[str, ...]" = (),
-    ) -> FlightOutcome:
+    def do(self, key: str, fn: Callable[[], T]) -> FlightOutcome:
         """Run ``fn`` once per concurrent burst of ``key``.
 
         The first caller of a key becomes the leader and executes
@@ -117,25 +113,9 @@ class SingleFlight:
         receive the leader's result (or re-raise its exception) without
         executing anything.
 
-        ``prefix_keys`` extends the dedup to *shared pipeline
-        prefixes* (shallowest first -- the server passes the prefix
-        fingerprints of exactly the boundaries the job will snapshot,
-        the ones its batch plan shares): a leader registers them
-        alongside its own key, and a caller whose key misses but whose
-        prefix matches an executing leader waits for that leader to
-        finish before leading itself -- by then the leader's stage
-        snapshots are in the cache, so the resumed compile skips the
-        shared prefix instead of racing the leader through it.  The
-        caller re-checks after every wait, so no two callers ever
-        execute through one advertised prefix at the same time.
-        Waiters never hold a flight while waiting, and leaders never
-        wait, so prefix waits cannot deadlock.
-
         Args:
             key: the dedup key (a flow fingerprint, for the server).
             fn: the computation; executed by leaders only.
-            prefix_keys: keys of the pipeline prefixes this call will
-                publish.
 
         Returns:
             A :class:`FlightOutcome` carrying the value and whether
@@ -145,40 +125,18 @@ class SingleFlight:
             BaseException: whatever ``fn`` raised, in the leader *and*
                 in every follower of that flight.
         """
-        while True:
-            leading = False
-            owner: _Flight | None = None
-            with self._lock:
-                flight = self._flights.get(key)
-                if flight is not None:
-                    flight.followers += 1
-                    with self.stats._lock:
-                        self.stats.deduped += 1
-                else:
-                    # Deepest shared prefix first: the further along
-                    # the owner is, the more of our pipeline its
-                    # snapshots cover.
-                    for prefix in reversed(prefix_keys):
-                        owner = self._prefixes.get(prefix)
-                        if owner is not None:
-                            break
-                if flight is None and owner is None:
-                    flight = _Flight()
-                    self._flights[key] = flight
-                    for prefix in prefix_keys:
-                        self._prefixes.setdefault(prefix, flight)
-                    leading = True
-                    with self.stats._lock:
-                        self.stats.started += 1
-            if owner is None:
-                break
-            # The owner is executing and never waits, so this ends;
-            # then re-enter: the owner may have published exactly our
-            # key (the cache re-check inside ``fn`` wins), or another
-            # leader may hold one of our prefixes by now.
+        with self._lock:
+            flight = self._flights.get(key)
+            leading = flight is None
+            if leading:
+                flight = self._flights[key] = _Flight()
+            else:
+                flight.followers += 1
             with self.stats._lock:
-                self.stats.prefix_waits += 1
-            owner.done.wait()
+                if leading:
+                    self.stats.started += 1
+                else:
+                    self.stats.deduped += 1
         if leading:
             try:
                 flight.result = fn()
@@ -188,14 +146,11 @@ class SingleFlight:
                     self.stats.errors += 1
                 raise
             finally:
-                # Drop the table entries *before* waking followers: a
+                # Drop the table entry *before* waking followers: a
                 # caller arriving after completion must start a fresh
                 # flight (and normally hits the result cache instead).
                 with self._lock:
                     del self._flights[key]
-                    for prefix in prefix_keys:
-                        if self._prefixes.get(prefix) is flight:
-                            del self._prefixes[prefix]
                 flight.done.set()
             return FlightOutcome(flight.result, leader=True)
 

@@ -1,15 +1,10 @@
-"""The dataflow engine: solver and lattices, the three analyses, and
-the reporting surface (SARIF emission, the CLI)."""
+"""The dataflow analyses: the reachability helper, the three
+analyses, and the reporting surface (SARIF emission, the CLI)."""
 
 import json
 from dataclasses import replace
 
 from repro.check.dataflow import (
-    CONST_BOTTOM,
-    CONST_TOP,
-    BoolLattice,
-    ConstLattice,
-    IntervalLattice,
     allowed_input_words,
     analyze_aig,
     analyze_fsm,
@@ -17,9 +12,8 @@ from repro.check.dataflow import (
     analyze_ir,
     analyze_microcode,
     analyze_netlist,
-    fold,
     fsm_reachable_states,
-    solve,
+    reach,
 )
 from repro.check.diagnostics import Diagnostic
 from repro.check.irlint import lint_aig
@@ -39,51 +33,14 @@ from tests.check.fixtures import (
 
 
 # ---------------------------------------------------------------------
-# Solver and lattices
+# The reachability helper
 # ---------------------------------------------------------------------
 def test_solve_reaches_fixpoint_on_cycles():
+    """``reach`` walks a cycle to its fixpoint and stops; a node no
+    root leads to stays out."""
     graph = {0: [1], 1: [2], 2: [0]}  # node 3 exists but is isolated
-
-    def successors(node):
-        return [(succ, None) for succ in graph.get(node, [])]
-
-    facts = solve(successors, {0: True}, BoolLattice())
-    assert {node for node, fact in facts.items() if fact} == {0, 1, 2}
-    assert 3 not in facts  # never seeded, never reached: stays bottom
-
-
-def test_solve_applies_transfer_functions():
-    lattice = IntervalLattice(width=4)
-
-    def successors(node):
-        if node == "a":
-            return [("b", lambda iv: (iv[0] + 1, iv[1] + 1))]
-        return []
-
-    facts = solve(successors, {"a": (0, 2)}, lattice)
-    assert facts["b"] == (1, 3)
-
-
-def test_const_lattice_join():
-    lattice = ConstLattice()
-    assert lattice.join(CONST_BOTTOM, 3) == 3
-    assert lattice.join(3, 3) == 3
-    assert lattice.join(3, 4) == CONST_TOP
-    assert lattice.leq(CONST_BOTTOM, 3)
-    assert lattice.leq(3, CONST_TOP)
-    assert not lattice.leq(CONST_TOP, 3)
-    assert fold(lattice, [2, 2, 2]) == 2
-    assert fold(lattice, [2, 5]) == CONST_TOP
-    assert fold(lattice, []) == CONST_BOTTOM
-
-
-def test_interval_lattice_join():
-    lattice = IntervalLattice(width=3)
-    assert lattice.top() == (0, 7)
-    assert lattice.join((1, 2), (4, 5)) == (1, 5)
-    assert lattice.join(None, (1, 2)) == (1, 2)
-    assert lattice.leq((2, 3), (1, 5))
-    assert not lattice.leq((0, 6), (1, 5))
+    assert reach([0], lambda node: graph.get(node, [])) == {0, 1, 2}
+    assert reach([3], lambda node: graph.get(node, [])) == {3}
 
 
 # ---------------------------------------------------------------------

@@ -217,6 +217,24 @@ def test_parallel_failure_is_deterministic_and_keeps_context(explode):
                for m in r.messages)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_unparseable_spec_fails_as_its_keyed_job_error(workers, cached):
+    """A spec that does not parse fails as its job's CompileJobError,
+    as a failing pass does, serially and in the pool, with or without
+    a cache; the parser's suggestion survives."""
+    jobs = [
+        CompileJob("good", "elaborate,map", module=build_rom_module()),
+        CompileJob(("design", 7), "elaborate,optimise"),
+    ]
+    with pytest.raises(CompileJobError) as err:
+        compile_many(
+            jobs, workers=workers, cache=CompileCache() if cached else None
+        )
+    assert err.value.key == ("design", 7)
+    assert "did you mean 'optimize'" in str(err.value)
+
+
 def test_failed_pass_does_not_leak_notes_into_next_run():
     exploding = ExplodingPass()
     from repro.flow import FlowContext

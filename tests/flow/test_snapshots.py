@@ -1,4 +1,4 @@
-"""Stage snapshots: prefix fingerprints, resume, version skew, GC."""
+"""Stage snapshots: prefix fingerprints, resume, foreign blobs, GC."""
 
 import pickle
 
@@ -8,13 +8,11 @@ from repro.flow import (
     CompileCache,
     CompileJob,
     PassManager,
-    StageSnapshot,
     compile_many,
     fingerprint_prefixes,
     flow_fingerprint,
-    snapshot_key,
 )
-from repro.flow.cache import SNAPSHOT_VERSION, _dumps
+from repro.flow.cache import _dumps
 from repro.flow.core import FlowContext
 from repro.rtl.builder import ModuleBuilder
 
@@ -70,14 +68,6 @@ def test_short_pipeline_full_fingerprint_is_longer_ones_prefix():
         short.prefix_fingerprints(module=module)[-1]
         == longer.prefix_fingerprints(module=module)[1]
     )
-
-
-def test_snapshot_key_is_derived_and_distinct():
-    fp = flow_fingerprint("elaborate", module=build_rom_module())
-    key = snapshot_key(fp)
-    assert key != fp
-    assert len(key) == 64 and int(key, 16) >= 0  # a well-formed digest
-    assert snapshot_key(fp) == key  # deterministic
 
 
 # ---------------------------------------------------------------------
@@ -186,7 +176,7 @@ def test_lone_compile_stores_no_snapshot(tmp_path):
 
 
 # ---------------------------------------------------------------------
-# Version skew: old readers, new readers, foreign blobs.
+# Old readers, corrupt and foreign blobs.
 # ---------------------------------------------------------------------
 
 def _seeded(tmp_path):
@@ -202,33 +192,29 @@ def _seeded(tmp_path):
     return cache, fps, done
 
 
-def test_future_snapshot_version_reads_as_miss(tmp_path):
-    cache, fps, _ = _seeded(tmp_path)
-    ctx = CompileCache(tmp_path).get_snapshot(fps[0])
-    bad = StageSnapshot(version=SNAPSHOT_VERSION + 1, ctx=ctx)
-    key = snapshot_key(fps[0])
-    (tmp_path / "snap" / key[:2] / f"{key}.pkl").write_bytes(_dumps(bad))
-    fresh = CompileCache(tmp_path)  # no memory copy: the disk blob rules
-    assert fresh.get_snapshot(fps[0]) is None
-    assert fresh.snapshot_misses == 1
-
-
 def test_corrupt_snapshot_blob_reads_as_miss(tmp_path):
     cache, fps, _ = _seeded(tmp_path)
-    key = snapshot_key(fps[0])
+    key = fps[0]
     path = tmp_path / "snap" / key[:2] / f"{key}.pkl"
     path.write_bytes(b"not a pickle")
     assert CompileCache(tmp_path).get_snapshot(fps[0]) is None
 
 
 def test_snapshot_blob_under_entry_key_reads_as_entry_miss(tmp_path):
-    """A snapshot envelope planted where an entry should be must not
-    leak a StageSnapshot out of CompileCache.get."""
+    """A pickle that is not a FlowContext -- here one that wraps a
+    context -- is a miss under an entry key and under a snapshot key:
+    it never leaks out of CompileCache.get or get_snapshot."""
     cache, fps, done = _seeded(tmp_path)
-    key = fps[-1]
-    snapshot_blob = _dumps(StageSnapshot(version=SNAPSHOT_VERSION, ctx=done))
-    (tmp_path / key[:2] / f"{key}.pkl").write_bytes(snapshot_blob)
-    assert CompileCache(tmp_path).get(key) is None
+    foreign = _dumps({"ctx": done})
+    entry, snapshot = fps[-1], fps[0]
+    (tmp_path / entry[:2] / f"{entry}.pkl").write_bytes(foreign)
+    (tmp_path / "snap" / snapshot[:2] / f"{snapshot}.pkl").write_bytes(
+        foreign
+    )
+    fresh = CompileCache(tmp_path)  # no memory copy: the disk blob rules
+    assert fresh.get(entry) is None
+    assert fresh.get_snapshot(snapshot) is None
+    assert fresh.misses == 1 and fresh.snapshot_misses == 1
 
 
 def test_snapshots_invisible_to_pre_snapshot_entry_listing(tmp_path):
@@ -240,15 +226,14 @@ def test_snapshots_invisible_to_pre_snapshot_entry_listing(tmp_path):
     assert len(entry_files) == 1
     assert all("snap" not in f.parts for f in entry_files)
     snapshot_files = list((tmp_path / "snap").glob("*/*.pkl"))
-    assert len(snapshot_files) == 1
-    # Every stored snapshot blob is a StageSnapshot envelope, never a
-    # bare context -- what an old unpickler would at least fail loudly
-    # on rather than silently misuse.
-    envelope = pickle.loads(snapshot_files[0].read_bytes())
-    assert isinstance(envelope, StageSnapshot)
-    assert envelope.version == SNAPSHOT_VERSION == 2
-    # The key says how far the context got: after ``elaborate`` alone.
-    assert [r.name for r in envelope.ctx.records] == ["elaborate"]
+    # A snapshot is the plain context, kept under its prefix
+    # fingerprint; the key says how far it got: ``elaborate`` alone.
+    assert snapshot_files == [
+        tmp_path / "snap" / fps[0][:2] / f"{fps[0]}.pkl"
+    ]
+    ctx = pickle.loads(snapshot_files[0].read_bytes())
+    assert isinstance(ctx, FlowContext)
+    assert [r.name for r in ctx.records] == ["elaborate"]
 
 
 # ---------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.synth.compiler import DesignCompiler
 from repro.synth.dc_options import CompileOptions, StateAnnotation
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("style", ["case", "table", "table_annotated"])
 def test_netlist_implements_the_spec(seed, style):
@@ -51,7 +50,6 @@ def test_netlist_implements_the_spec(seed, style):
         state = expected_state
 
 
-@pytest.mark.slow
 def test_flexible_vs_bound_equivalence_through_synthesis():
     """Program the flexible netlist; it must match the bound netlist."""
     rng = random.Random(9)

@@ -1,16 +1,21 @@
-"""Prefix-aware single-flight, alone and inside the server."""
+"""Prefix sharing through the server: a batch runs in submission
+order, as serial ``compile_many`` runs it."""
 
-import sys
+import http.client
+import json
+import random
 import threading
 import time
-from collections import Counter
+import urllib.parse
+import urllib.request
 
 import pytest
 
 from repro.expts.techsweep import build_jobs
 from repro.flow import CompileCache, CompileJob, PassManager, compile_many
 from repro.rtl.builder import ModuleBuilder
-from repro.serve import CompileServer, ServeClient, SingleFlight
+from repro.serve import CompileServer, ServeClient
+from repro.serve.protocol import encode_batch
 
 
 def build_rom_module(scale=3, name="m"):
@@ -21,145 +26,24 @@ def build_rom_module(scale=3, name="m"):
     return b.build()
 
 
+def build_random_rom_module(addr_bits, name):
+    """A ROM of random bytes; its compile time grows with
+    ``addr_bits``."""
+    rng = random.Random(name)
+    words = [rng.randrange(256) for _ in range(1 << addr_bits)]
+    b = ModuleBuilder(name)
+    addr = b.input("addr", addr_bits)
+    rom = b.rom("t", 8, len(words), words)
+    b.output("data", rom.read(addr))
+    return b.build()
+
+
 def record_signature(ctx):
     return [
         (r.name, r.stage, r.before, r.after, r.messages, r.skipped,
          r.rejected, r.failed)
         for r in ctx.records
     ]
-
-
-# ---------------------------------------------------------------------
-# SingleFlight prefix keys.
-# ---------------------------------------------------------------------
-
-def test_prefix_sharer_waits_once_then_leads():
-    flights = SingleFlight()
-    release = threading.Event()
-    order = []
-
-    def leader_fn():
-        order.append("leader")
-        release.wait(timeout=10.0)
-        return "lead-result"
-
-    outcomes = {}
-
-    def leader():
-        outcomes["a"] = flights.do(
-            "full-a", leader_fn, prefix_keys=("p1", "p2")
-        )
-
-    thread = threading.Thread(target=leader)
-    thread.start()
-    deadline = time.monotonic() + 10.0
-    while flights.inflight() == 0 and time.monotonic() < deadline:
-        time.sleep(0.001)
-
-    def sharer():
-        # Distinct full key, shared prefix: waits for the leader once,
-        # then executes itself.
-        outcomes["b"] = flights.do(
-            "full-b", lambda: order.append("sharer") or "share-result",
-            prefix_keys=("p1", "p3"),
-        )
-
-    share = threading.Thread(target=sharer)
-    share.start()
-    # The sharer must be parked on the leader, not executing.
-    time.sleep(0.05)
-    assert "sharer" not in order
-    release.set()
-    thread.join(timeout=10.0)
-    share.join(timeout=10.0)
-
-    assert order == ["leader", "sharer"]
-    assert outcomes["a"].leader and outcomes["b"].leader
-    stats = flights.stats.to_json()
-    assert stats["started"] == 2
-    assert stats["deduped"] == 0
-    assert stats["prefix_waits"] == 1
-    assert flights.inflight() == 0
-
-
-def test_unrelated_prefixes_run_concurrently():
-    flights = SingleFlight()
-    release = threading.Event()
-
-    def slow():
-        release.wait(timeout=10.0)
-        return "slow"
-
-    results = {}
-
-    def run_slow():
-        results["a"] = flights.do("ka", slow, prefix_keys=("pa",))
-
-    thread = threading.Thread(target=run_slow)
-    thread.start()
-    deadline = time.monotonic() + 10.0
-    while flights.inflight() == 0 and time.monotonic() < deadline:
-        time.sleep(0.001)
-    # No prefix overlap: executes immediately, no wait.
-    results["b"] = flights.do("kb", lambda: "fast", prefix_keys=("pb",))
-    release.set()
-    thread.join(timeout=10.0)
-    assert results["b"].value == "fast"
-    assert flights.stats.to_json()["prefix_waits"] == 0
-
-
-def test_prefix_table_entries_are_cleaned_up():
-    flights = SingleFlight()
-    flights.do("k", lambda: 1, prefix_keys=("p1", "p2"))
-    assert flights.inflight() == 0
-    with flights._lock:
-        assert not flights._prefixes
-
-
-def test_no_two_callers_run_through_one_advertised_prefix_at_once():
-    """A caller re-checks its prefixes after every wait, so it never
-    leads while another leader holds one of them -- even when that
-    leader was elected while the caller was waiting on a third.  Eight
-    threads over a two-level prefix trie, with a short switch
-    interval; any overlap is a lost exactly-once guarantee."""
-    flights = SingleFlight()
-    lock = threading.Lock()
-    running: Counter = Counter()
-    overlaps = []
-
-    def call(i: int) -> None:
-        keys = ("root", f"mid-{i % 3}")
-
-        def fn():
-            with lock:
-                running.update(keys)
-                overlaps.extend(k for k in keys if running[k] > 1)
-            time.sleep(0.002)
-            with lock:
-                running.subtract(keys)
-            return i
-
-        flights.do(f"full-{i}", fn, prefix_keys=keys)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [
-            threading.Thread(
-                target=lambda t=t: [call(t * 6 + j) for j in range(6)]
-            )
-            for t in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert overlaps == []
-    assert flights.stats.to_json()["started"] == 48
-    assert flights.inflight() == 0
 
 
 # ---------------------------------------------------------------------
@@ -175,9 +59,9 @@ def server(tmp_path):
 
 def test_server_batch_resumes_shared_prefix(server):
     """Two jobs sharing everything up to ``map`` submitted as one
-    batch: the second must resume from the first one's snapshots (or
-    wait on its flight), never recompute the shared prefix -- and the
-    results must equal local from-scratch compiles."""
+    batch: the second must resume from the first one's snapshots,
+    never recompute the shared prefix -- and the results must equal
+    local from-scratch compiles."""
     module = build_rom_module()
     # size's clock target must differ *from the default*: a default
     # parameter renders out of the spec and the jobs would collapse to
@@ -195,7 +79,7 @@ def test_server_batch_resumes_shared_prefix(server):
 
     stats = ServeClient(server.url).stats()
     assert stats["compiles"] == 2
-    assert stats["prefix_resumes"] >= 1
+    assert stats["prefix_resumes"] == 1
     for key, spec in specs.items():
         local = PassManager.parse(spec).compile(module=module)
         assert record_signature(results[key]) == record_signature(local)
@@ -214,8 +98,7 @@ def test_server_plans_a_batch_like_compile_many(
     """One POST of the small techsweep grid executes exactly the 87
     pass records ``compile_many`` executes on it, and stores the same
     21 snapshots, with any number of pool workers: the server plans
-    the batch with the same rule, and a job that shares a prefix with
-    an executing leader waits for it instead of racing it."""
+    the batch with the same rule and runs it in the same order."""
     cache = CompileCache(tmp_path / "cache")
     with CompileServer(cache=cache, workers=workers) as srv:
         served = ServeClient(srv.url).compile(build_jobs("small"))
@@ -231,3 +114,101 @@ def test_server_plans_a_batch_like_compile_many(
         assert record_signature(ctx) == record_signature(scratch)
         assert ctx.aig.canonical_hash() == scratch.aig.canonical_hash()
         assert ctx.area.total == scratch.area.total
+
+
+def test_concurrent_batches_compile_each_job_once(
+    tmp_path, small_grid_from_scratch
+):
+    """Two concurrent POSTs of the small grid: each runs in submission
+    order, so job by job one leads and the other rides its flight or
+    hits its entry -- 18 compiles and the 21 snapshots one POST
+    stores, and every result equals its from-scratch compile."""
+    cache = CompileCache(tmp_path / "cache")
+    served = [None, None]
+    with CompileServer(cache=cache, workers=2) as srv:
+
+        def post(i):
+            served[i] = ServeClient(srv.url).compile(build_jobs("small"))
+
+        threads = [
+            threading.Thread(target=post, args=(i,)) for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300.0)
+        compiles = ServeClient(srv.url).stats()["compiles"]
+    assert compiles == 18
+    assert cache.snapshot_stores == 21
+    for results in served:
+        assert results is not None
+        assert set(results) == set(small_grid_from_scratch)
+        for key, ctx in results.items():
+            scratch = small_grid_from_scratch[key]
+            assert record_signature(ctx) == record_signature(scratch)
+            assert ctx.aig.canonical_hash() == scratch.aig.canonical_hash()
+            assert ctx.area.total == scratch.area.total
+
+
+def test_batch_lines_arrive_in_submission_order():
+    """A slow compile submitted before a fast unrelated one still
+    answers first, on a server with a free worker for the fast one:
+    a batch runs one job after another, in submission order.  (The
+    slow job takes about a hundred times as long as the fast one, so
+    a server that ran them together would answer ``[1, 0]``.)"""
+    jobs = [
+        CompileJob(
+            "slow", "elaborate,optimize,map,size",
+            module=build_random_rom_module(8, "slow"),
+        ),
+        CompileJob(
+            "fast", "elaborate,map",
+            module=build_random_rom_module(3, "fast"),
+        ),
+    ]
+    with CompileServer(workers=2) as srv:
+        request = urllib.request.Request(
+            f"{srv.url}/compile",
+            data=json.dumps(encode_batch(jobs)).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=120.0) as response:
+            ids = [json.loads(line)["id"] for line in response]
+    assert ids == [0, 1]
+
+
+def test_jobs_after_a_hang_up_still_compile_into_the_cache():
+    """A client that hangs up after the first line of its batch does
+    not stop the batch: the remaining jobs still compile, in order,
+    and warm the cache for whoever asks next."""
+    jobs = [
+        CompileJob(
+            scale, "elaborate,optimize,map,size",
+            module=build_rom_module(scale, name=f"hangup{scale}"),
+        )
+        for scale in (3, 5, 7)
+    ]
+    with CompileServer(workers=2) as srv:
+        address = urllib.parse.urlsplit(srv.url)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=60.0
+        )
+        connection.request(
+            "POST", "/compile",
+            body=json.dumps(encode_batch(jobs)),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        assert json.loads(response.readline())["id"] == 0
+        response.close()
+        connection.close()
+        deadline = time.monotonic() + 60.0
+        while (
+            srv.stats()["compiles"] < len(jobs)
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        assert srv.stats()["compiles"] == len(jobs)
+        warm = ServeClient(srv.url).compile_detailed(jobs)
+    assert all(result.cache_hit for result in warm)

@@ -1,6 +1,7 @@
 """The compile server end to end: identity with local execution,
 caching, single-flight dedup, and error paths."""
 
+import base64
 import json
 import os
 import pickle
@@ -26,6 +27,7 @@ from repro.flow import (
 )
 import repro.serve
 from repro.serve import CompileServer, ServeClient
+from repro.serve.protocol import encode_batch
 from repro.rtl.builder import ModuleBuilder
 
 
@@ -219,13 +221,29 @@ def test_bad_requests_are_rejected_cleanly(server, client):
         urllib.request.urlopen(request)
     assert err.value.code == 400
     assert "version" in json.loads(err.value.read())["error"]
+    # A job payload that unpickles to anything but a dict is a 400
+    # too, not a dropped connection.
+    batch = encode_batch(sample_jobs()[:1])
+    batch["jobs"][0]["payload"] = base64.b64encode(
+        pickle.dumps(["not", "a", "dict"])
+    ).decode("ascii")
+    request = urllib.request.Request(
+        f"{server.url}/compile",
+        data=json.dumps(batch).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request)
+    assert err.value.code == 400
+    assert "not a dict" in json.loads(err.value.read())["error"]
     # A bogus Content-Length is refused before any body byte is read:
     # trusted, -1 reads until the client hangs up, a non-number raises
     # in the handler, and a huge length allocates that much.
     assert raw_post_status(server.url, "-1") == 400
     assert raw_post_status(server.url, "abc") == 400
     assert raw_post_status(server.url, "99999999999") == 413
-    assert client.stats()["bad_requests"] - before == 5
+    assert client.stats()["bad_requests"] - before == 6
 
 
 def test_cache_uploads_are_refused(server, client):
