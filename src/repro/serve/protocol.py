@@ -23,6 +23,11 @@ base64 of the server cache entry's own pickle bytes
 (:meth:`~repro.flow.cache.CompileCache.hit_bytes`): a warm server
 pickles each entry at most once, however often it is served.
 
+Over HTTP/1.1 each line is one chunk of a chunked body, so the
+connection carries the client's next request once the terminal chunk
+is read.  The framing is HTTP's, not the wire format's: it leaves
+every field as it is.
+
 Trust model: pickles execute what their bytes describe.  The server
 deserializes job payloads and the client deserializes result
 contexts, so both ends must trust each other exactly as much as the

@@ -14,6 +14,7 @@ import pytest
 from repro.expts.techsweep import build_jobs
 from repro.flow import CompileCache, CompileJob, PassManager, compile_many
 from repro.rtl.builder import ModuleBuilder
+import repro.serve.server as server_module
 from repro.serve import CompileServer, ServeClient
 from repro.serve.protocol import encode_batch
 
@@ -93,15 +94,32 @@ def small_grid_from_scratch():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_server_plans_a_batch_like_compile_many(
-    tmp_path, small_grid_from_scratch, workers
+    tmp_path, monkeypatch, small_grid_from_scratch, workers
 ):
     """One POST of the small techsweep grid executes exactly the 87
     pass records ``compile_many`` executes on it, and stores the same
     21 snapshots, with any number of pool workers: the server plans
-    the batch with the same rule and runs it in the same order."""
+    the batch with the same rule and runs it in the same order.  The
+    plan fingerprints each job once, and the job runs with those
+    fingerprints; a one-job POST is not planned."""
+    fingerprinted = []
+    real_fingerprints = server_module._job_prefix_fingerprints
+
+    def counting_fingerprints(job):
+        fingerprinted.append(job.key)
+        return real_fingerprints(job)
+
+    monkeypatch.setattr(
+        server_module, "_job_prefix_fingerprints", counting_fingerprints
+    )
     cache = CompileCache(tmp_path / "cache")
     with CompileServer(cache=cache, workers=workers) as srv:
-        served = ServeClient(srv.url).compile(build_jobs("small"))
+        client = ServeClient(srv.url)
+        served = client.compile(build_jobs("small"))
+        assert sorted(fingerprinted) == list(range(18))
+        fingerprinted.clear()
+        client.compile(build_jobs("small")[:1])
+        assert fingerprinted == [0]
     executed = sum(
         len(ctx.records) - int(ctx.meta.get("resumed_records", 0))
         for ctx in served.values()
